@@ -1,0 +1,36 @@
+/* wait4(2) for the benchmark: the OCaml Unix library reaps children
+   without their resource usage, and peak RSS of the worker process is
+   one of the benchmark's metrics. */
+
+#include <errno.h>
+#include <sys/resource.h>
+#include <sys/types.h>
+#include <sys/wait.h>
+
+#include <caml/alloc.h>
+#include <caml/fail.h>
+#include <caml/memory.h>
+#include <caml/mlvalues.h>
+#include <caml/signals.h>
+
+/* rvbench_wait4 pid -> (exit code or -signal, peak RSS in KiB) */
+value rvbench_wait4(value vpid)
+{
+  CAMLparam1(vpid);
+  CAMLlocal1(res);
+  int status = 0;
+  struct rusage ru;
+  pid_t r;
+  do {
+    caml_enter_blocking_section();
+    r = wait4(Int_val(vpid), &status, 0, &ru);
+    caml_leave_blocking_section();
+  } while (r < 0 && errno == EINTR);
+  if (r < 0) caml_failwith("wait4 failed");
+  res = caml_alloc_tuple(2);
+  Store_field(res, 0,
+              Val_int(WIFEXITED(status) ? WEXITSTATUS(status)
+                                        : -WTERMSIG(status)));
+  Store_field(res, 1, Val_long(ru.ru_maxrss));
+  CAMLreturn(res);
+}
