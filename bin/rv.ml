@@ -1053,8 +1053,8 @@ let serve_cmd =
       & info [ "no-telemetry" ]
           ~doc:
             "Disable the always-on serving telemetry (sliding latency \
-             windows, flight recorder, gauge sampler).  Reply bytes are \
-             identical either way; this exists for overhead measurement.")
+             windows, flight recorder).  Reply bytes are identical either \
+             way; this exists for overhead measurement.")
   in
   let slow_us =
     Arg.(

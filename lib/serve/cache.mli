@@ -25,9 +25,8 @@ type stats = {
   entries : int;
   bytes : int;
   capacity : int;
-  hits : int;
-  misses : int;
   evictions : int;
 }
 
 val stats : t -> stats
+(** One consistent snapshot, taken under the cache lock. *)

@@ -5,6 +5,17 @@
 
 let max_stages = 8
 
+type path = Unresolved | Admin | Index | Cache | Sim | Shed | Error
+
+let path_name = function
+  | Unresolved -> "none"
+  | Admin -> "admin"
+  | Index -> "index"
+  | Cache -> "cache"
+  | Sim -> "sim"
+  | Shed -> "shed"
+  | Error -> "error"
+
 type stage = { mutable s_name : string; mutable s_t0 : float; mutable s_t1 : float }
 
 type t = {
@@ -13,7 +24,7 @@ type t = {
   enabled : bool;
   mutable debug : bool;
   mutable kind : string;
-  mutable path : string;
+  mutable path : path;
   mutable deadline_us : float;  (* absolute; nan = none *)
   mutable done_us : float;  (* absolute; nan = unfinished *)
   mutable nstages : int;
@@ -27,7 +38,7 @@ let create ~id ~recv_us ?(enabled = true) () =
     enabled;
     debug = false;
     kind = "unknown";
-    path = "none";
+    path = Unresolved;
     deadline_us = Float.nan;
     done_us = Float.nan;
     nstages = 0;

@@ -35,10 +35,14 @@ val kind : t -> string
 val set_kind : t -> string -> unit
 (** Query kind: ["worst"], ["run"], an admin type, or ["invalid"]. *)
 
-val path : t -> string
-val set_path : t -> string -> unit
-(** Answer path: ["index"], ["cache"], ["sim"], ["admin"], ["shed"],
-    ["error"]; ["none"] until resolved. *)
+type path = Unresolved | Admin | Index | Cache | Sim | Shed | Error
+
+val path_name : path -> string
+(** The answer path's wire name: ["none"] (unresolved), ["admin"],
+    ["index"], ["cache"], ["sim"], ["shed"], ["error"]. *)
+
+val path : t -> path
+val set_path : t -> path -> unit
 
 val deadline_us : t -> float option
 val set_deadline_us : t -> float -> unit

@@ -2,7 +2,6 @@ module Json = Rv_obs.Json
 module Counter = Rv_obs.Counter
 module Histogram = Rv_obs.Histogram
 module Window = Rv_obs.Window
-module Gauge = Rv_obs.Gauge
 module Gc_snapshot = Rv_obs.Gc_snapshot
 module Prom = Rv_obs.Export_prometheus
 module Obs = Rv_obs.Obs
@@ -20,7 +19,6 @@ type config = {
   telemetry : bool;
   recorder_cap : int;
   slow_us : int;
-  sampler_period_s : float;
 }
 
 let default_config =
@@ -37,7 +35,6 @@ let default_config =
     telemetry = true;
     recorder_cap = 256;
     slow_us = 10_000;
-    sampler_period_s = 1.0;
   }
 
 (* One accepted client.  [inflight] counts jobs handed to the dispatcher
@@ -64,16 +61,40 @@ type job = {
   j_conn : conn;
 }
 
-(* The sampler thread's last reading, published whole so the metrics
-   renderers see one consistent snapshot. *)
-type sampled = {
-  sm_gc : Gc_snapshot.t;
-  sm_queue_depth : int;
-  sm_registry_active : int;
-  sm_registry_total : int;
-  sm_index_generation : int;
-  sm_index_records : int;
-}
+(* Request counters, one atomic slot each in the server's [counts]. *)
+type counter =
+  | Requests | Ok_replies | Error_replies | Bad_request | Overloaded
+  | Deadline_exceeded | Write_failures | Cache_hits | Cache_misses
+  | Index_hits | Index_misses | Index_backfilled
+
+let slot = function
+  | Requests -> 0
+  | Ok_replies -> 1
+  | Error_replies -> 2
+  | Bad_request -> 3
+  | Overloaded -> 4
+  | Deadline_exceeded -> 5
+  | Write_failures -> 6
+  | Cache_hits -> 7
+  | Cache_misses -> 8
+  | Index_hits -> 9
+  | Index_misses -> 10
+  | Index_backfilled -> 11
+
+(* One sliding latency window per (query kind, answer path).  Shed and
+   errored replies get windows too, so the "all" aggregate — derived at
+   read time with [Window.stats_many], leaving the hot path one observe
+   — covers every query reply. *)
+let window_kinds = [ "worst"; "run" ]
+let window_paths = Rspan.[ Index; Cache; Sim; Shed; Error ]
+
+let window_slot kind (path : Rspan.path) =
+  let k = match kind with "worst" -> 0 | "run" -> 1 | _ -> -1 in
+  let p =
+    match path with
+    | Index -> 0 | Cache -> 1 | Sim -> 2 | Shed -> 3 | Error -> 4 | _ -> -1
+  in
+  if k < 0 || p < 0 then -1 else (k * List.length window_paths) + p
 
 type t = {
   cfg : config;
@@ -90,48 +111,14 @@ type t = {
   mutable acceptor : Thread.t option;
   mutable dispatcher : Thread.t option;
   started_us : float;
-  (* Per-server counters back the [metrics] reply: the Rv_obs registries
-     are process-global (tests run several servers in one process), so
-     the reply must come from state scoped to this server. *)
-  n_requests : int Atomic.t;
-  n_ok : int Atomic.t;
-  n_errors : int Atomic.t;
-  n_bad : int Atomic.t;
-  n_overloaded : int Atomic.t;
-  n_deadline : int Atomic.t;
-  n_cache_hits : int Atomic.t;
-  n_cache_misses : int Atomic.t;
-  n_index_hits : int Atomic.t;
-  n_index_misses : int Atomic.t;
-  n_index_backfilled : int Atomic.t;
-  n_write_failures : int Atomic.t;
-  (* Hoisted process-global instruments (exported alongside everything
-     else by [rv] metric dumps). *)
-  c_requests : Counter.t;
-  c_ok : Counter.t;
-  c_errors : Counter.t;
-  c_overloaded : Counter.t;
-  c_deadline : Counter.t;
-  c_cache_hits : Counter.t;
-  c_cache_misses : Counter.t;
-  c_index_hits : Counter.t;
-  c_index_misses : Counter.t;
-  c_index_backfilled : Counter.t;
-  c_write_failures : Counter.t;
+  (* Per-server state backs every metrics reply: the Rv_obs registries
+     are process-global and tests run several servers in one process. *)
+  counts : int Atomic.t array;  (** indexed by {!slot} *)
   h_latency : Histogram.t;
   h_queue_wait : Histogram.t;
-  (* Always-on telemetry (per-server for the same registry-scoping
-     reason as the counters above): a request-id sequence, sliding
-     latency windows over query replies — one per (kind, answer path),
-     with the "all" aggregate derived at read time via
-     [Window.stats_many] so the hot path pays one observe — the anomaly
-     flight recorder, and the sampler's last gauge snapshot. *)
   req_seq : int Atomic.t;
-  w_kind_path : (string * Window.t) array;
+  windows : Window.t array;  (** indexed by {!window_slot} *)
   recorder : Recorder.t;
-  sampled : sampled Atomic.t;
-  sampler_stop : bool Atomic.t;
-  mutable sampler_thread : Thread.t option;
   (* The live index.  Swapped whole on reload/backfill; readers of a
      displaced generation keep answering from the old mapping, so a swap
      is never observable mid-lookup. *)
@@ -143,8 +130,7 @@ type t = {
 }
 
 let port t = t.srv_port
-let cache_stats t = Cache.stats t.cache
-let recorder t = t.recorder
+let bump t c = Atomic.incr t.counts.(slot c)
 
 (* --- writing ----------------------------------------------------------- *)
 
@@ -168,30 +154,9 @@ let write_conn t conn line =
        flush conn.oc
      with Sys_error _ | Unix.Unix_error _ ->
        Atomic.set conn.dead true;
-       Atomic.incr t.n_write_failures;
-       Counter.add t.c_write_failures 1);
+       bump t Write_failures);
     Mutex.unlock conn.wlock
   end
-
-let new_rspan t =
-  Rspan.create
-    ~id:(Atomic.fetch_and_add t.req_seq 1)
-    ~recv_us:(Clock.now_us ()) ~enabled:t.cfg.telemetry ()
-
-let is_query_kind kind = String.equal kind "worst" || String.equal kind "run"
-
-let window_for t ~kind ~path =
-  let key = kind ^ ":" ^ path in
-  Array.find_opt (fun (k, _) -> String.equal k key) t.w_kind_path
-  |> Option.map snd
-
-(* The aggregate over every query reply — including shed/error paths,
-   which have windows of their own precisely so this derived view keeps
-   the same population the old single "all" window had. *)
-let stats_all t ~now_s ~horizon_s =
-  Window.stats_many
-    (Array.to_list (Array.map snd t.w_kind_path))
-    ~now_s ~horizon_s
 
 (* Slow means "used more than half its budget": half the request's
    deadline window when one was set, else the configured threshold. *)
@@ -207,18 +172,17 @@ let classify t sp ~code =
         | None -> total > t.cfg.slow_us
       in
       if slow then Recorder.Slow
-      else if
-        Option.is_some (Atomic.get t.index)
-        && String.equal (Rspan.path sp) "sim"
-      then Recorder.Index_fallback
-      else Recorder.Healthy
+      else
+        match Rspan.path sp with
+        | Sim when Option.is_some (Atomic.get t.index) -> Recorder.Index_fallback
+        | _ -> Recorder.Healthy
 
 let record_of sp ~status ~flag =
   let recv = Rspan.recv_us sp in
   {
     Recorder.rr_id = Rspan.id sp;
     rr_kind = Rspan.kind sp;
-    rr_path = Rspan.path sp;
+    rr_path = Rspan.path_name (Rspan.path sp);
     rr_status = status;
     rr_flag = flag;
     rr_recv_us = recv;
@@ -227,74 +191,66 @@ let record_of sp ~status ~flag =
       List.map (fun (n, t0, t1) -> (n, t0 -. recv, t1 -. t0)) (Rspan.stages sp);
   }
 
-(* Stamp completion; feed the whole-process latency histogram (always,
-   as before) and — for query requests with telemetry on — the sliding
-   windows and the flight recorder.  Admin probes stay out of both: they
-   answer inline in microseconds and the `rv obs` poller's own scrapes
-   must not flood the ring it is reading. *)
+(* Stamp completion; score the reply; feed the whole-process latency
+   histogram (always) and — for query requests with telemetry on — the
+   sliding windows and the flight recorder.  Admin probes stay out of
+   both: they answer inline in microseconds and the `rv obs`
+   poller's own scrapes must not flood the ring it is reading.  The
+   answer path alone scores the index and cache counters, so a request
+   walked down the answer chain twice (connection thread, then
+   dispatcher) still counts one index outcome and one cache outcome. *)
 let finalize t sp ~status ~code =
   let now_us = Clock.now_us () in
   Rspan.finish sp ~now_us;
+  (match code with
+  | None -> bump t Ok_replies
+  | Some code -> (
+      bump t Error_replies;
+      match code with
+      | Proto.Bad_request -> bump t Bad_request
+      | Proto.Overloaded -> bump t Overloaded
+      | Proto.Deadline_exceeded -> bump t Deadline_exceeded
+      | Proto.Failed_rendezvous | Proto.Internal -> ()));
+  let path = Rspan.path sp in
+  (match path with
+  | Cache | Sim | Shed when Option.is_some (Atomic.get t.index) ->
+      bump t Index_misses
+  | _ -> ());
+  (match path with
+  | Index -> bump t Index_hits
+  | Cache -> bump t Cache_hits
+  | Sim -> bump t Cache_misses
+  | Shed | Admin | Error | Unresolved -> ());
   let total = Rspan.total_us sp in
   Histogram.observe_t t.h_latency total;
-  let kind = Rspan.kind sp in
-  if t.cfg.telemetry && is_query_kind kind then begin
-    let now_s = int_of_float (now_us /. 1_000_000.) in
-    (match window_for t ~kind ~path:(Rspan.path sp) with
-    | Some w -> Window.observe w ~now_s total
-    | None -> ());
+  let w = window_slot (Rspan.kind sp) path in
+  if t.cfg.telemetry && w >= 0 then begin
+    Window.observe t.windows.(w) ~now_s:(int_of_float (now_us /. 1e6)) total;
     Recorder.add t.recorder (record_of sp ~status ~flag:(classify t sp ~code))
   end
 
+(* A debug reply carries the request's flight-recorder record, less the
+   fields the reply itself already states. *)
 let debug_fields sp =
-  let recv = Rspan.recv_us sp in
-  [
-    ( "debug",
-      Json.Obj
-        [
-          ("req_id", Json.Int (Rspan.id sp));
-          ("kind", Json.Str (Rspan.kind sp));
-          ("path", Json.Str (Rspan.path sp));
-          ("total_us", Json.Int (Rspan.total_us sp));
-          ( "stages",
-            Json.List
-              (List.map
-                 (fun (n, t0, t1) ->
-                   Json.Obj
-                     [
-                       ("stage", Json.Str n);
-                       ("start_us", Json.Float (t0 -. recv));
-                       ("dur_us", Json.Float (t1 -. t0));
-                     ])
-                 (Rspan.stages sp)) );
-        ] );
-  ]
+  let r = record_of sp ~status:"" ~flag:Recorder.Healthy in
+  let keep (k, _) =
+    not (List.exists (String.equal k) [ "status"; "flag"; "recv_us" ])
+  in
+  [ ("debug", Json.Obj (List.filter keep (Recorder.to_fields r))) ]
 
 (* Debug timing fields are appended at render time, after the cached /
    canonical field list — so they never enter the cache and replies
    without [debug:true] stay byte-identical across paths. *)
 let reply_ok t conn ~sp ~id fields =
-  Atomic.incr t.n_ok;
-  Counter.add t.c_ok 1;
   finalize t sp ~status:"ok" ~code:None;
   let fields = if Rspan.debug sp then fields @ debug_fields sp else fields in
   write_conn t conn (Proto.ok_line ~id fields)
 
 let reply_error t conn ~sp ~id ?extra code msg =
-  Atomic.incr t.n_errors;
-  Counter.add t.c_errors 1;
-  (match code with
-  | Proto.Bad_request -> Atomic.incr t.n_bad
-  | Proto.Overloaded ->
-      Atomic.incr t.n_overloaded;
-      Counter.add t.c_overloaded 1
-  | Proto.Deadline_exceeded ->
-      Atomic.incr t.n_deadline;
-      Counter.add t.c_deadline 1
-  | Proto.Failed_rendezvous | Proto.Internal -> ());
-  if String.equal (Rspan.path sp) "none" then
-    Rspan.set_path sp
-      (match code with Proto.Overloaded -> "shed" | _ -> "error");
+  (match (Rspan.path sp, code) with
+  | Unresolved, Proto.Overloaded -> Rspan.set_path sp Shed
+  | Unresolved, _ -> Rspan.set_path sp Error
+  | _ -> ());
   finalize t sp ~status:(Proto.code_to_string code) ~code:(Some code);
   let extra =
     if Rspan.debug sp then Option.value extra ~default:[] @ debug_fields sp
@@ -302,46 +258,41 @@ let reply_error t conn ~sp ~id ?extra code msg =
   in
   write_conn t conn (Proto.error_line ~id ~extra code msg)
 
-let cache_hit t =
-  Atomic.incr t.n_cache_hits;
-  Counter.add t.c_cache_hits 1
-
-let cache_miss t =
-  Atomic.incr t.n_cache_misses;
-  Counter.add t.c_cache_misses 1
-
 (* --- index ------------------------------------------------------------- *)
 
-let index_hit t =
-  Atomic.incr t.n_index_hits;
-  Counter.add t.c_index_hits 1
-
-let index_miss t =
-  Atomic.incr t.n_index_misses;
-  Counter.add t.c_index_misses 1
-
-(* Consult the baked index.  A hit re-renders through the same
-   [Handler.fields_of_vals] printer the compute path uses, so the reply
-   bytes cannot depend on which path answered.  Decode failures (stale
-   kind tag, wrong width) count as misses and fall through.
-   [count_miss:false] is for the dispatcher's re-check of an already
-   counted-as-missed request, so each request scores at most one miss. *)
-let index_answer ?(count_miss = true) t q key =
-  match Atomic.get t.index with
-  | None -> None
-  | Some reader -> (
-      match Rv_index.Reader.lookup reader key with
-      | None ->
-          if count_miss then index_miss t;
-          None
-      | Some values -> (
-          match Handler.vals_of_values q values with
-          | None ->
-              if count_miss then index_miss t;
-              None
-          | Some v ->
-              index_hit t;
-              Some (Handler.fields_of_vals q v)))
+(* The answer chain short of compute: baked index, then the LRU cache.
+   The connection thread walks it first and queues a miss; the
+   dispatcher walks it again before computing, since a backfill, a
+   reload or a twin request may have answered the job while it queued.
+   Sets the answer path on a hit; counting waits for [finalize].  An
+   index hit re-renders through the same [Handler.fields_of_vals]
+   printer the compute path uses, so the reply bytes cannot depend on
+   which path answered; decode failures (stale kind tag, wrong width)
+   are misses. *)
+let answer t ?now_us sp q key =
+  Rspan.stage_begin ?now_us sp "index";
+  let from_index =
+    match Atomic.get t.index with
+    | None -> None
+    | Some reader -> (
+        match Rv_index.Reader.lookup reader key with
+        | None -> None
+        | Some values -> (
+            match Handler.vals_of_values q values with
+            | None -> None
+            | Some v -> Some (Handler.fields_of_vals q v)))
+  in
+  Rspan.stage_end sp "index";
+  match from_index with
+  | Some _ ->
+      Rspan.set_path sp Rspan.Index;
+      from_index
+  | None ->
+      Rspan.stage_begin sp "cache";
+      let from_cache = Cache.find t.cache key in
+      Rspan.stage_end sp "cache";
+      if Option.is_some from_cache then Rspan.set_path sp Rspan.Cache;
+      from_cache
 
 let reload_index t =
   match t.cfg.index_path with
@@ -415,9 +366,10 @@ let publish_backfill t =
                         msg
                   | Ok r ->
                       Atomic.set t.index (Some r);
-                      let n = List.length fresh in
-                      ignore (Atomic.fetch_and_add t.n_index_backfilled n);
-                      Counter.add t.c_index_backfilled n))))
+                      ignore
+                        (Atomic.fetch_and_add
+                           t.counts.(slot Index_backfilled)
+                           (List.length fresh))))))
 
 let backfill_loop t =
   let interval =
@@ -440,6 +392,243 @@ let backfill_loop t =
     end
   in
   loop ()
+
+(* --- metrics ----------------------------------------------------------- *)
+
+(* Sliding-window horizons.  A cold-start or burst spike ages out of the
+   percentiles after the horizon ([latency_count] / [latency_max_us]
+   keep whole-process semantics: they are the monotone counters scrape
+   checks rely on). *)
+let horizons = [ ("10s", 10); ("1m", 60); ("5m", 300) ]
+
+(* One reading of the state behind the gauges, taken once per reply so
+   its fields agree with each other. *)
+type snap = {
+  now_us : float;
+  cs : Cache.stats;
+  gc : Gc_snapshot.t;
+  live : Rv_index.Reader.t option;
+  lat : Window.stats Lazy.t list;  (** the aggregate, per horizon *)
+}
+
+let snap t =
+  let now_us = Clock.now_us () in
+  let now_s = int_of_float (now_us /. 1e6) in
+  {
+    now_us;
+    cs = Cache.stats t.cache;
+    gc = Gc_snapshot.take ();
+    live = Atomic.get t.index;
+    lat =
+      List.map
+        (fun (_, horizon_s) ->
+          lazy (Window.stats_many (Array.to_list t.windows) ~now_s ~horizon_s))
+        horizons;
+  }
+
+(* The metric table: one row per metric, read at reply time.  [key] names
+   it in JSON replies and [prom] in the Prometheus exposition (after
+   [rv_serve_]; a [_total] suffix makes it a counter, anything else a
+   gauge); [""] leaves it out of one or the other.  [health] is its
+   position in the health reply (0 = absent); the metrics and version
+   replies carry their rows in table order. *)
+type row = {
+  key : string;
+  prom : string;
+  help : string;
+  health : int;
+  metrics : bool;
+  version : bool;
+  read : read;
+}
+
+and read = Count of counter | Read of (t -> snap -> Json.t)
+
+let row ?(prom = "") ?(help = "") ?(health = 0) ?(metrics = false)
+    ?(version = false) key read =
+  { key; prom; help; health; metrics; version; read }
+
+let count c key help =
+  row key (Count c) ~prom:(key ^ "_total") ~help ~metrics:true
+
+let num f = Read (fun t s -> Json.Int (f t s))
+let gc f = num (fun _ s -> f s.gc)
+let index f = num (fun _ s -> Option.fold ~none:0 ~some:f s.live)
+
+let window_rows =
+  List.concat
+    (List.mapi
+       (fun h (tag, _) ->
+         let stat ?(health = 0) name get =
+           row ("lat" ^ tag ^ "_" ^ name) ~metrics:true
+             ~health:(if String.equal tag "1m" then health else 0)
+             (num (fun _ s -> get (Lazy.force (List.nth s.lat h))))
+         in
+         Window.
+           [
+             stat "count" (fun w -> w.w_count);
+             stat "p50_us" ~health:10 (fun w -> w.w_p50);
+             stat "p90_us" (fun w -> w.w_p90);
+             stat "p99_us" ~health:11 (fun w -> w.w_p99);
+             stat "max_us" (fun w -> w.w_max);
+           ])
+       horizons)
+
+let rows =
+  [
+    count Requests "requests" "Requests received";
+    count Ok_replies "ok" "Successful replies";
+    count Error_replies "errors" "Error replies";
+    count Bad_request "bad_request" "Malformed requests";
+    count Overloaded "overloaded" "Requests shed by admission control";
+    count Deadline_exceeded "deadline_exceeded" "Requests past their deadline";
+    count Write_failures "write_failures"
+      "Replies that failed to write (client disconnected first)";
+    count Cache_hits "cache_hits" "LRU result-cache hits";
+    count Cache_misses "cache_misses" "LRU result-cache misses";
+    count Index_hits "index_hits" "Baked-index hits";
+    count Index_misses "index_misses" "Baked-index misses";
+    count Index_backfilled "index_backfilled" "Records added by backfill";
+    row "draining" ~health:1
+      (Read (fun t _ -> Json.Bool (Admission.draining t.queue)));
+    row "queue_cap" ~health:3 (num (fun t _ -> t.cfg.queue_cap));
+    row "jobs" ~health:4 (num (fun t _ -> max 1 t.cfg.jobs));
+    row "pool_pending" ~health:5
+      (num (fun t _ -> Option.fold ~none:0 ~some:Rv_engine.Pool.pending t.pool));
+    row "active_connections" ~health:6 ~prom:"active_connections"
+      ~help:"Open connections" (num (fun t _ -> Registry.active t.registry));
+    row "total_connections" ~health:7 ~prom:"connections_total"
+      ~help:"Connections accepted since start"
+      (num (fun t _ -> Registry.total t.registry));
+    row "cache_entries" ~health:8 ~metrics:true ~prom:"cache_entries"
+      ~help:"LRU result-cache entries" (num (fun _ s -> s.cs.Cache.entries));
+    row "cache_bytes" ~health:9 ~metrics:true ~prom:"cache_bytes"
+      ~help:"LRU result-cache bytes" (num (fun _ s -> s.cs.Cache.bytes));
+    row "cache_evictions" ~metrics:true ~prom:"cache_evictions_total"
+      ~help:"LRU result-cache evictions"
+      (num (fun _ s -> s.cs.Cache.evictions));
+    row "queue_depth" ~health:2 ~metrics:true ~prom:"queue_depth"
+      ~help:"Admission queue depth" (num (fun t _ -> Admission.depth t.queue));
+    row "latency_count" ~metrics:true
+      (num (fun t _ -> Histogram.count t.h_latency));
+    row "latency_max_us" ~metrics:true
+      (num (fun t _ -> Histogram.max_value t.h_latency));
+    row "queue_wait_max_us" ~metrics:true
+      (num (fun t _ -> Histogram.max_value t.h_queue_wait));
+  ]
+  @ window_rows
+  @ [
+      row "uptime_us" ~health:12
+        (num (fun t s -> int_of_float (s.now_us -. t.started_us)));
+      row "" ~prom:"uptime_seconds" ~help:"Seconds since server start"
+        (num (fun t s -> int_of_float ((s.now_us -. t.started_us) /. 1e6)));
+      row "index_loaded" ~health:13 ~version:true ~prom:"index_loaded"
+        ~help:"1 when a baked index is mmapped"
+        (Read (fun _ s -> Json.Bool (Option.is_some s.live)));
+      row "index_generation" ~health:14 ~version:true ~prom:"index_generation"
+        ~help:"Generation of the live index" (index Rv_index.Reader.generation);
+      row "index_records" ~health:15 ~version:true ~prom:"index_records"
+        ~help:"Records in the live index" (index Rv_index.Reader.record_count);
+      row "" ~prom:"gc_minor_collections_total"
+        ~help:"Minor GC collections (process)"
+        (gc (fun g -> g.Gc_snapshot.minor_collections));
+      row "" ~prom:"gc_major_collections_total"
+        ~help:"Major GC collections (process)"
+        (gc (fun g -> g.Gc_snapshot.major_collections));
+      row "" ~prom:"gc_compactions_total" ~help:"Heap compactions (process)"
+        (gc (fun g -> g.Gc_snapshot.compactions));
+      row "" ~prom:"gc_heap_words" ~help:"Major heap size in words (process)"
+        (gc (fun g -> g.Gc_snapshot.heap_words));
+      row "" ~prom:"gc_top_heap_words"
+        ~help:"Peak major heap size in words (process)"
+        (gc (fun g -> g.Gc_snapshot.top_heap_words));
+    ]
+
+let counters =
+  List.filter_map
+    (fun r -> match r.read with Count c -> Some (r.key, c) | Read _ -> None)
+    rows
+
+let health_rows =
+  List.filter (fun r -> r.health > 0) rows
+  |> List.stable_sort (fun a b -> Int.compare a.health b.health)
+
+let read t s r =
+  match r.read with
+  | Count c -> Json.Int (Atomic.get t.counts.(slot c))
+  | Read f -> f t s
+
+let json_fields t rows =
+  let s = snap t in
+  List.map (fun r -> (r.key, read t s r)) rows
+
+(* --- Prometheus exposition --------------------------------------------- *)
+
+let prometheus_body t =
+  let s = snap t in
+  let now_s = int_of_float (s.now_us /. 1e6) in
+  let sample labels v = { Prom.labels; value = float_of_int v } in
+  let scalar r =
+    Prom.single ("rv_serve_" ^ r.prom) r.help
+      (if String.ends_with ~suffix:"_total" r.prom then Prom.Counter_t
+       else Prom.Gauge_t)
+      (match read t s r with
+      | Json.Bool b -> if b then 1. else 0.
+      | Json.Int n -> float_of_int n
+      | _ -> Float.nan)
+  in
+  (* (labels, stats) for the aggregate and every window, per horizon. *)
+  let labels kind path tag = [ ("kind", kind); ("path", path); ("window", tag) ] in
+  let windows =
+    List.map2 (fun (tag, _) st -> (labels "all" "all" tag, Lazy.force st)) horizons s.lat
+    @ List.concat_map
+        (fun k ->
+          List.concat_map
+            (fun p ->
+              let w = t.windows.(window_slot k p) in
+              List.map
+                (fun (tag, horizon_s) ->
+                  ( labels k (Rspan.path_name p) tag,
+                    Window.stats w ~now_s ~horizon_s ))
+                horizons)
+            window_paths)
+        window_kinds
+  in
+  let family fname help typ samples =
+    {
+      Prom.fname;
+      help;
+      typ;
+      samples = List.concat_map (fun (l, st) -> samples l st) windows;
+    }
+  in
+  let healthy, flagged, _, _ = Recorder.counts t.recorder in
+  Prom.render
+    (List.filter_map
+       (fun r -> if String.equal r.prom "" then None else Some (scalar r))
+       rows
+    @ [
+        {
+          Prom.fname = "rv_serve_recorder_records";
+          help = "Flight-recorder occupancy by class";
+          typ = Prom.Gauge_t;
+          samples =
+            [ sample [ ("class", "healthy") ] healthy;
+              sample [ ("class", "flagged") ] flagged ];
+        };
+        family "rv_serve_latency_us"
+          "Reply latency quantiles over sliding windows (log2-bucket upper \
+           bounds)"
+          Prom.Summary_t (fun l st ->
+            let q quantile v = sample (("quantile", quantile) :: l) v in
+            Window.[ q "0.5" st.w_p50; q "0.9" st.w_p90; q "0.99" st.w_p99 ]);
+        family "rv_serve_latency_us_count"
+          "Observations inside each sliding window" Prom.Gauge_t (fun l st ->
+            [ sample l st.Window.w_count ]);
+        family "rv_serve_latency_us_max"
+          "Largest latency inside each sliding window" Prom.Gauge_t (fun l st ->
+            [ sample l st.Window.w_max ]);
+      ])
 
 (* --- admin replies ----------------------------------------------------- *)
 
@@ -464,10 +653,11 @@ let feature_flags () =
   in
   fs
 
+let status typ = [ ("status", Json.Str "ok"); ("type", Json.Str typ) ]
+
 let version_fields () =
-  [
-    ("status", Json.Str "ok");
-    ("type", Json.Str "version");
+  status "version"
+  @ [
     ("version", Json.Str Build_meta.version);
     ("ocaml", Json.Str Build_meta.ocaml_version);
     ("profile", Json.Str Build_meta.profile);
@@ -475,237 +665,13 @@ let version_fields () =
     ("features", Json.List (feature_flags ()));
   ]
 
-let index_status_fields t =
-  match Atomic.get t.index with
-  | None ->
-      [
-        ("index_loaded", Json.Bool false);
-        ("index_generation", Json.Int 0);
-        ("index_records", Json.Int 0);
-      ]
-  | Some r ->
-      [
-        ("index_loaded", Json.Bool true);
-        ("index_generation", Json.Int (Rv_index.Reader.generation r));
-        ("index_records", Json.Int (Rv_index.Reader.record_count r));
-      ]
-
-(* Sliding-window latency summaries.  These replaced fields computed
-   from the unbounded whole-process histogram: a cold-start or burst
-   spike now ages out of the percentiles after the horizon instead of
-   skewing them for the life of the process ([latency_count] /
-   [latency_max_us] keep the whole-process semantics — they are the
-   monotone counters scrape checks rely on). *)
-let horizons = [| ("10s", 10); ("1m", 60); ("5m", 300) |]
-
-let window_fields prefix (st : Window.stats) =
-  [
-    (prefix ^ "_count", Json.Int st.Window.w_count);
-    (prefix ^ "_p50_us", Json.Int st.Window.w_p50);
-    (prefix ^ "_p90_us", Json.Int st.Window.w_p90);
-    (prefix ^ "_p99_us", Json.Int st.Window.w_p99);
-    (prefix ^ "_max_us", Json.Int st.Window.w_max);
-  ]
-
-let health_fields t =
-  let now_s = int_of_float (Clock.now_s ()) in
-  let w1m = stats_all t ~now_s ~horizon_s:60 in
-  [
-    ("status", Json.Str "ok");
-    ("type", Json.Str "health");
-    ("draining", Json.Bool (Admission.draining t.queue));
-    ("queue_depth", Json.Int (Admission.depth t.queue));
-    ("queue_cap", Json.Int t.cfg.queue_cap);
-    ("jobs", Json.Int (max 1 t.cfg.jobs));
-    ( "pool_pending",
-      Json.Int
-        (match t.pool with Some p -> Rv_engine.Pool.pending p | None -> 0) );
-    ("active_connections", Json.Int (Registry.active t.registry));
-    ("total_connections", Json.Int (Registry.total t.registry));
-    ("cache_entries", Json.Int (Cache.stats t.cache).Cache.entries);
-    ("cache_bytes", Json.Int (Cache.stats t.cache).Cache.bytes);
-    ("lat1m_p50_us", Json.Int w1m.Window.w_p50);
-    ("lat1m_p99_us", Json.Int w1m.Window.w_p99);
-    ("uptime_us", Json.Int (int_of_float (Clock.now_us () -. t.started_us)));
-  ]
-  @ index_status_fields t
-
-let metrics_fields t =
-  let cs = Cache.stats t.cache in
-  let now_s = int_of_float (Clock.now_s ()) in
-  [
-    ("status", Json.Str "ok");
-    ("type", Json.Str "metrics");
-    ("requests", Json.Int (Atomic.get t.n_requests));
-    ("ok", Json.Int (Atomic.get t.n_ok));
-    ("errors", Json.Int (Atomic.get t.n_errors));
-    ("bad_request", Json.Int (Atomic.get t.n_bad));
-    ("overloaded", Json.Int (Atomic.get t.n_overloaded));
-    ("deadline_exceeded", Json.Int (Atomic.get t.n_deadline));
-    ("write_failures", Json.Int (Atomic.get t.n_write_failures));
-    ("cache_hits", Json.Int (Atomic.get t.n_cache_hits));
-    ("cache_misses", Json.Int (Atomic.get t.n_cache_misses));
-    ("index_hits", Json.Int (Atomic.get t.n_index_hits));
-    ("index_misses", Json.Int (Atomic.get t.n_index_misses));
-    ("index_backfilled", Json.Int (Atomic.get t.n_index_backfilled));
-    ("cache_entries", Json.Int cs.Cache.entries);
-    ("cache_bytes", Json.Int cs.Cache.bytes);
-    ("cache_evictions", Json.Int cs.Cache.evictions);
-    ("queue_depth", Json.Int (Admission.depth t.queue));
-    ("latency_count", Json.Int (Histogram.count t.h_latency));
-    ("latency_max_us", Json.Int (Histogram.max_value t.h_latency));
-    ("queue_wait_max_us", Json.Int (Histogram.max_value t.h_queue_wait));
-  ]
-  @ List.concat_map
-      (fun (tag, horizon_s) ->
-        window_fields ("lat" ^ tag) (stats_all t ~now_s ~horizon_s))
-      (Array.to_list horizons)
-
-(* --- Prometheus exposition --------------------------------------------- *)
-
-let prometheus_body t =
-  let s = Atomic.get t.sampled in
-  let cs = Cache.stats t.cache in
-  let counter name help v =
-    Prom.single ("rv_serve_" ^ name) help Prom.Counter_t (float_of_int v)
-  in
-  let gauge name help v =
-    Prom.single ("rv_serve_" ^ name) help Prom.Gauge_t (float_of_int v)
-  in
-  let now_s = int_of_float (Clock.now_s ()) in
-  let wsets =
-    ("all", "all", fun horizon_s -> stats_all t ~now_s ~horizon_s)
-    :: List.map (fun (key, w) ->
-           let stats horizon_s = Window.stats w ~now_s ~horizon_s in
-           match String.index_opt key ':' with
-           | Some i ->
-               ( String.sub key 0 i,
-                 String.sub key (i + 1) (String.length key - i - 1),
-                 stats )
-           | None -> (key, key, stats))
-         (Array.to_list t.w_kind_path)
-  in
-  let latency_samples, count_samples, max_samples =
-    List.fold_left
-      (fun (qs, cs, ms) (kind, path, stats) ->
-        List.fold_left
-          (fun (qs, cs, ms) (tag, horizon_s) ->
-            let st = stats horizon_s in
-            let labels = [ ("kind", kind); ("path", path); ("window", tag) ] in
-            let q quant v =
-              { Prom.labels = ("quantile", quant) :: labels;
-                value = float_of_int v }
-            in
-            ( q "0.5" st.Window.w_p50 :: q "0.9" st.Window.w_p90
-              :: q "0.99" st.Window.w_p99 :: qs,
-              { Prom.labels; value = float_of_int st.Window.w_count } :: cs,
-              { Prom.labels; value = float_of_int st.Window.w_max } :: ms ))
-          (qs, cs, ms)
-          (Array.to_list horizons))
-      ([], [], []) wsets
-  in
-  let healthy, flagged, _, _ = Recorder.counts t.recorder in
-  Prom.render
-    [
-      counter "requests_total" "Requests received" (Atomic.get t.n_requests);
-      counter "ok_total" "Successful replies" (Atomic.get t.n_ok);
-      counter "errors_total" "Error replies" (Atomic.get t.n_errors);
-      counter "bad_request_total" "Malformed requests" (Atomic.get t.n_bad);
-      counter "overloaded_total" "Requests shed by admission control"
-        (Atomic.get t.n_overloaded);
-      counter "deadline_exceeded_total" "Requests past their deadline"
-        (Atomic.get t.n_deadline);
-      counter "write_failures_total"
-        "Replies that failed to write (client disconnected first)"
-        (Atomic.get t.n_write_failures);
-      counter "cache_hits_total" "LRU result-cache hits"
-        (Atomic.get t.n_cache_hits);
-      counter "cache_misses_total" "LRU result-cache misses"
-        (Atomic.get t.n_cache_misses);
-      counter "cache_evictions_total" "LRU result-cache evictions"
-        cs.Cache.evictions;
-      counter "index_hits_total" "Baked-index hits" (Atomic.get t.n_index_hits);
-      counter "index_misses_total" "Baked-index misses"
-        (Atomic.get t.n_index_misses);
-      counter "index_backfilled_total" "Records added by backfill"
-        (Atomic.get t.n_index_backfilled);
-      counter "connections_total" "Connections accepted since start"
-        s.sm_registry_total;
-      counter "gc_minor_collections_total" "Minor GC collections (process)"
-        s.sm_gc.Gc_snapshot.minor_collections;
-      counter "gc_major_collections_total" "Major GC collections (process)"
-        s.sm_gc.Gc_snapshot.major_collections;
-      counter "gc_compactions_total" "Heap compactions (process)"
-        s.sm_gc.Gc_snapshot.compactions;
-      gauge "gc_heap_words" "Major heap size in words (process)"
-        s.sm_gc.Gc_snapshot.heap_words;
-      gauge "gc_top_heap_words" "Peak major heap size in words (process)"
-        s.sm_gc.Gc_snapshot.top_heap_words;
-      gauge "queue_depth" "Admission queue depth (sampled)" s.sm_queue_depth;
-      gauge "active_connections" "Open connections (sampled)"
-        s.sm_registry_active;
-      gauge "cache_entries" "LRU result-cache entries" cs.Cache.entries;
-      gauge "cache_bytes" "LRU result-cache bytes" cs.Cache.bytes;
-      gauge "index_loaded" "1 when a baked index is mmapped"
-        (match Atomic.get t.index with Some _ -> 1 | None -> 0);
-      gauge "index_generation" "Generation of the live index"
-        s.sm_index_generation;
-      gauge "index_records" "Records in the live index" s.sm_index_records;
-      gauge "uptime_seconds" "Seconds since server start"
-        (int_of_float ((Clock.now_us () -. t.started_us) /. 1e6));
-      {
-        Prom.fname = "rv_serve_recorder_records";
-        help = "Flight-recorder occupancy by class";
-        typ = Prom.Gauge_t;
-        samples =
-          [
-            { Prom.labels = [ ("class", "healthy") ];
-              value = float_of_int healthy };
-            { Prom.labels = [ ("class", "flagged") ];
-              value = float_of_int flagged };
-          ];
-      };
-      {
-        Prom.fname = "rv_serve_latency_us";
-        help =
-          "Reply latency quantiles over sliding windows (log2-bucket upper \
-           bounds)";
-        typ = Prom.Summary_t;
-        samples = latency_samples;
-      };
-      {
-        Prom.fname = "rv_serve_latency_us_count";
-        help = "Observations inside each sliding window";
-        typ = Prom.Gauge_t;
-        samples = count_samples;
-      };
-      {
-        Prom.fname = "rv_serve_latency_us_max";
-        help = "Largest latency inside each sliding window";
-        typ = Prom.Gauge_t;
-        samples = max_samples;
-      };
-    ]
-
-(* The transport is one JSON object per line, so the exposition text
-   travels inside the reply as a ["body"] string — `rv obs`/smoke
-   scripts unwrap it before handing it to promtool-style checks. *)
-let prometheus_fields t =
-  [
-    ("status", Json.Str "ok");
-    ("type", Json.Str "metrics");
-    ("format", Json.Str "prometheus");
-    ("body", Json.Str (prometheus_body t));
-  ]
-
 let obs_fields t { Proto.o_last } =
   let records = Recorder.records ~last:o_last t.recorder in
   let healthy, flagged, evicted_healthy, evicted_flagged =
     Recorder.counts t.recorder
   in
-  [
-    ("status", Json.Str "ok");
-    ("type", Json.Str "obs");
+  status "obs"
+  @ [
     ("telemetry", Json.Bool t.cfg.telemetry);
     ("recorder_cap", Json.Int (Recorder.cap t.recorder));
     ("healthy", Json.Int healthy);
@@ -715,69 +681,19 @@ let obs_fields t { Proto.o_last } =
     ("records", Json.List (List.map Recorder.to_json records));
   ]
 
+(* The transport is one JSON object per line, so the Prometheus text
+   travels inside the reply as a ["body"] string — `rv obs`/smoke
+   scripts unwrap it before handing it to promtool-style checks. *)
 let admin_fields t = function
-  | Proto.Health -> health_fields t
-  | Proto.Metrics Proto.Fmt_json -> metrics_fields t
-  | Proto.Metrics Proto.Fmt_prometheus -> prometheus_fields t
-  | Proto.Version -> version_fields () @ index_status_fields t
+  | Proto.Health -> status "health" @ json_fields t health_rows
+  | Proto.Metrics Proto.Fmt_json ->
+      status "metrics" @ json_fields t (List.filter (fun r -> r.metrics) rows)
+  | Proto.Metrics Proto.Fmt_prometheus ->
+      status "metrics"
+      @ [ ("format", Json.Str "prometheus"); ("body", Json.Str (prometheus_body t)) ]
+  | Proto.Version ->
+      version_fields () @ json_fields t (List.filter (fun r -> r.version) rows)
   | Proto.Obs q -> obs_fields t q
-
-(* --- sampler ----------------------------------------------------------- *)
-
-let take_sample t =
-  {
-    sm_gc = Gc_snapshot.take ();
-    sm_queue_depth = Admission.depth t.queue;
-    sm_registry_active = Registry.active t.registry;
-    sm_registry_total = Registry.total t.registry;
-    sm_index_generation =
-      (match Atomic.get t.index with
-      | Some r -> Rv_index.Reader.generation r
-      | None -> 0);
-    sm_index_records =
-      (match Atomic.get t.index with
-      | Some r -> Rv_index.Reader.record_count r
-      | None -> 0);
-  }
-
-(* Publish to this server's snapshot (backing the prometheus reply) and
-   mirror into the process-global gauge registry — the soak harness's
-   drift signals.  With several servers in one process (tests) the
-   global mirror is last-writer-wins; the per-server snapshot is the
-   authoritative scrape. *)
-let publish_sample t s =
-  Atomic.set t.sampled s;
-  Gauge.set_name "serve.gc_heap_words" s.sm_gc.Gc_snapshot.heap_words;
-  Gauge.set_name "serve.gc_top_heap_words" s.sm_gc.Gc_snapshot.top_heap_words;
-  Gauge.set_name "serve.gc_major_collections"
-    s.sm_gc.Gc_snapshot.major_collections;
-  Gauge.set_name "serve.queue_depth" s.sm_queue_depth;
-  Gauge.set_name "serve.active_connections" s.sm_registry_active;
-  Gauge.set_name "serve.total_connections" s.sm_registry_total;
-  Gauge.set_name "serve.index_generation" s.sm_index_generation;
-  Gauge.set_name "serve.index_records" s.sm_index_records
-
-let sampler_loop t =
-  let interval =
-    if t.cfg.sampler_period_s > 0. then t.cfg.sampler_period_s else 1.
-  in
-  (* Same sliced-nap shape as [backfill_loop]: a drain never waits more
-     than a slice for this thread to notice the stop flag. *)
-  let slice = 0.02 in
-  let rec loop () =
-    if not (Atomic.get t.sampler_stop) then begin
-      let rec nap remaining =
-        if remaining > 0. && not (Atomic.get t.sampler_stop) then begin
-          Thread.delay (if remaining < slice then remaining else slice);
-          nap (remaining -. slice)
-        end
-      in
-      nap interval;
-      if not (Atomic.get t.sampler_stop) then publish_sample t (take_sample t);
-      loop ()
-    end
-  in
-  loop ()
 
 (* --- dispatcher -------------------------------------------------------- *)
 
@@ -792,43 +708,24 @@ let process t job =
   Rspan.stage_end ~now_us:dequeued_us sp "queue";
   Histogram.observe_t t.h_queue_wait
     (int_of_float (dequeued_us -. Rspan.recv_us sp));
-  Rspan.stage_begin ~now_us:dequeued_us sp "index";
-  let from_index = index_answer ~count_miss:false t job.j_query job.j_key in
-  Rspan.stage_end sp "index";
-  (match from_index with
-  | Some fields ->
-      (* A backfill or reload published the answer while this job
-         queued. *)
-      Rspan.set_path sp "index";
-      reply_ok t conn ~sp ~id:job.j_id fields
+  (match answer t ~now_us:dequeued_us sp job.j_query job.j_key with
+  | Some fields -> reply_ok t conn ~sp ~id:job.j_id fields
   | None -> (
-      Rspan.stage_begin sp "cache";
-      let from_cache = Cache.find t.cache job.j_key in
-      Rspan.stage_end sp "cache";
-      match from_cache with
-      | Some fields ->
-          (* A concurrent identical request computed it while this one
-             queued. *)
-          cache_hit t;
-          Rspan.set_path sp "cache";
+      Rspan.set_path sp Rspan.Sim;
+      Rspan.stage_begin sp "compute";
+      let result =
+        Handler.eval_vals ?pool:t.pool ~deadline_us:job.j_deadline_us
+          job.j_query
+      in
+      Rspan.stage_end sp "compute";
+      match result with
+      | Ok v ->
+          let fields = Handler.fields_of_vals job.j_query v in
+          Cache.add t.cache job.j_key fields;
+          note_backfill t job.j_key (Handler.values_of_vals v);
           reply_ok t conn ~sp ~id:job.j_id fields
-      | None -> (
-          cache_miss t;
-          Rspan.set_path sp "sim";
-          Rspan.stage_begin sp "compute";
-          let result =
-            Handler.eval_vals ?pool:t.pool ~deadline_us:job.j_deadline_us
-              job.j_query
-          in
-          Rspan.stage_end sp "compute";
-          match result with
-          | Ok v ->
-              let fields = Handler.fields_of_vals job.j_query v in
-              Cache.add t.cache job.j_key fields;
-              note_backfill t job.j_key (Handler.values_of_vals v);
-              reply_ok t conn ~sp ~id:job.j_id fields
-          | Error (code, msg, extra) ->
-              reply_error t conn ~sp ~id:job.j_id ~extra code msg)));
+      | Error (code, msg, extra) ->
+          reply_error t conn ~sp ~id:job.j_id ~extra code msg));
   Atomic.decr conn.inflight
 
 let dispatch_loop t =
@@ -852,12 +749,16 @@ let admin_kind = function
   | Proto.Version -> "version"
   | Proto.Obs _ -> "obs"
 
-let serve_line t conn ~sp line =
-  Atomic.incr t.n_requests;
-  Counter.add t.c_requests 1;
+let serve_line t conn ~sp frame =
+  bump t Requests;
   Obs.span ~cat:"serve" "serve.request" @@ fun () ->
   Rspan.stage_begin sp "parse";
-  let parsed = Proto.parse line in
+  let parsed =
+    match frame with
+    | `Line line -> Proto.parse line
+    | `Too_long ->
+        Error (Printf.sprintf "request line exceeds %d bytes" Proto.max_line_len)
+  in
   Rspan.stage_end sp "parse";
   match parsed with
   | Error msg ->
@@ -868,31 +769,17 @@ let serve_line t conn ~sp line =
       match req.Proto.body with
       | `Admin a ->
           Rspan.set_kind sp (admin_kind a);
-          Rspan.set_path sp "admin";
+          Rspan.set_path sp Rspan.Admin;
           reply_ok t conn ~sp ~id:req.Proto.id (admin_fields t a)
       | `Query q -> (
           let key = Proto.canonical_key q in
           Rspan.set_kind sp
             (match q with Proto.Worst _ -> "worst" | Proto.Run _ -> "run");
-          (* index -> LRU cache -> simulation.  Index lookups are pure
-             reads of an immutable mapping, so answering here on the
-             connection thread is safe and skips the queue entirely. *)
-          Rspan.stage_begin sp "index";
-          let from_index = index_answer t q key in
-          Rspan.stage_end sp "index";
-          match from_index with
-          | Some fields ->
-              Rspan.set_path sp "index";
-              reply_ok t conn ~sp ~id:req.Proto.id fields
-          | None -> (
-          Rspan.stage_begin sp "cache";
-          let from_cache = Cache.find t.cache key in
-          Rspan.stage_end sp "cache";
-          match from_cache with
-          | Some fields ->
-              cache_hit t;
-              Rspan.set_path sp "cache";
-              reply_ok t conn ~sp ~id:req.Proto.id fields
+          (* Index lookups are pure reads of an immutable mapping and the
+             cache is mutex-guarded, so hits answer here on the connection
+             thread and skip the queue entirely. *)
+          match answer t sp q key with
+          | Some fields -> reply_ok t conn ~sp ~id:req.Proto.id fields
           | None -> (
               let deadline_us =
                 match (req.Proto.deadline_ms, t.cfg.default_deadline_ms) with
@@ -925,7 +812,7 @@ let serve_line t conn ~sp line =
               match Admission.submit t.queue job with
               | `Accepted -> ()
               | `Overloaded -> shed "admission queue full"
-              | `Draining -> shed "server draining"))))
+              | `Draining -> shed "server draining")))
 
 (* Bounded line reader: a hostile peer must not make us buffer an
    arbitrarily long line.  Overlong lines are consumed to their newline
@@ -999,17 +886,13 @@ let handle_conn t fd =
         else
         match read_line_bounded ic Proto.max_line_len with
         | `Eof -> ()
-        | `Too_long ->
-            Atomic.incr t.n_requests;
-            Counter.add t.c_requests 1;
-            let sp = new_rspan t in
-            Rspan.set_kind sp "invalid";
-            reply_error t conn ~sp ~id:None Proto.Bad_request
-              (Printf.sprintf "request line exceeds %d bytes" Proto.max_line_len);
-            loop ()
-        | `Line line ->
-            let sp = new_rspan t in
-            (try serve_line t conn ~sp line
+        | (`Line _ | `Too_long) as frame ->
+            let sp =
+              Rspan.create
+                ~id:(Atomic.fetch_and_add t.req_seq 1)
+                ~recv_us:(Clock.now_us ()) ~enabled:t.cfg.telemetry ()
+            in
+            (try serve_line t conn ~sp frame
              with exn ->
                reply_error t conn ~sp ~id:None Proto.Internal
                  (Printexc.to_string exn));
@@ -1099,57 +982,15 @@ let start cfg =
       acceptor = None;
       dispatcher = None;
       started_us = Clock.now_us ();
-      n_requests = Atomic.make 0;
-      n_ok = Atomic.make 0;
-      n_errors = Atomic.make 0;
-      n_bad = Atomic.make 0;
-      n_overloaded = Atomic.make 0;
-      n_deadline = Atomic.make 0;
-      n_cache_hits = Atomic.make 0;
-      n_cache_misses = Atomic.make 0;
-      c_requests = Counter.find "serve.requests";
-      c_ok = Counter.find "serve.ok";
-      c_errors = Counter.find "serve.errors";
-      c_overloaded = Counter.find "serve.overloaded";
-      c_deadline = Counter.find "serve.deadline_exceeded";
-      c_cache_hits = Counter.find "serve.cache_hits";
-      c_cache_misses = Counter.find "serve.cache_misses";
-      c_index_hits = Counter.find "serve.index_hits";
-      c_index_misses = Counter.find "serve.index_misses";
-      c_index_backfilled = Counter.find "serve.index_backfilled";
+      counts = Array.init (List.length counters) (fun _ -> Atomic.make 0);
       h_latency = Histogram.find "serve.latency_us";
       h_queue_wait = Histogram.find "serve.queue_wait_us";
-      n_index_hits = Atomic.make 0;
-      n_index_misses = Atomic.make 0;
-      n_index_backfilled = Atomic.make 0;
-      n_write_failures = Atomic.make 0;
-      c_write_failures = Counter.find "serve.write_failures";
       req_seq = Atomic.make 0;
-      w_kind_path =
-        (* shed/error windows are rarely interesting alone but keep the
-           derived "all" aggregate covering every query reply. *)
-        Array.of_list
-          (List.concat_map
-             (fun kind ->
-               List.map
-                 (fun path ->
-                   let key = kind ^ ":" ^ path in
-                   (key, Window.create ("serve.latency." ^ key)))
-                 [ "index"; "cache"; "sim"; "shed"; "error" ])
-             [ "worst"; "run" ]);
+      windows =
+        Array.init
+          (List.length window_kinds * List.length window_paths)
+          (fun _ -> Window.create "serve.latency");
       recorder = Recorder.create ~cap:cfg.recorder_cap ();
-      sampled =
-        Atomic.make
-          {
-            sm_gc = Gc_snapshot.take ();
-            sm_queue_depth = 0;
-            sm_registry_active = 0;
-            sm_registry_total = 0;
-            sm_index_generation = 0;
-            sm_index_records = 0;
-          };
-      sampler_stop = Atomic.make false;
-      sampler_thread = None;
       index = Atomic.make None;
       backfill_lock = Mutex.create ();
       backfill_pending = Hashtbl.create 64;
@@ -1169,11 +1010,6 @@ let start cfg =
             "rv serve: index not loaded (%s); serving without it\n%!" msg));
   if cfg.index_backfill && Option.is_some cfg.index_path then
     t.backfill_thread <- Some (Thread.create backfill_loop t);
-  if cfg.telemetry then begin
-    (* One synchronous sample so the first scrape never sees zeros. *)
-    publish_sample t (take_sample t);
-    t.sampler_thread <- Some (Thread.create sampler_loop t)
-  end;
   t.acceptor <- Some (Thread.create accept_loop t);
   t.dispatcher <- Some (Thread.create dispatch_loop t);
   t
@@ -1198,8 +1034,6 @@ let join t =
     Atomic.set t.backfill_stop true;
     (match t.backfill_thread with Some th -> Thread.join th | None -> ());
     if t.cfg.index_backfill then publish_backfill t;
-    Atomic.set t.sampler_stop true;
-    (match t.sampler_thread with Some th -> Thread.join th | None -> ());
     Registry.shutdown_all t.registry;
     let conns =
       Mutex.lock t.conns_lock;
@@ -1208,7 +1042,13 @@ let join t =
       c
     in
     List.iter Thread.join conns;
-    match t.pool with Some p -> Rv_engine.Pool.shutdown p | None -> ()
+    (match t.pool with Some p -> Rv_engine.Pool.shutdown p | None -> ());
+    (* `rv serve --metrics` prints the process-global counters; add this
+       server's totals to them. *)
+    List.iter
+      (fun (key, c) ->
+        Counter.add (Counter.find ("serve." ^ key)) (Atomic.get t.counts.(slot c)))
+      counters
   end
 
 let stop t =

@@ -41,23 +41,21 @@ type config = {
       (** backfill publish interval; [<= 0] means the 5s default *)
   telemetry : bool;
       (** always-on serving telemetry (default [true]): sliding latency
-          windows per kind/path, the anomaly flight recorder, and the
-          gauge sampler thread.  Reply bytes are identical either way —
-          only measurement is switched; [false] exists for the bench's
-          overhead row *)
+          windows per kind/path and the anomaly flight recorder.  Reply
+          bytes are identical either way and counters and gauges stay
+          live — only those two are switched; [false] exists for the
+          bench's overhead row *)
   recorder_cap : int;  (** flight-recorder ring size (default 256) *)
   slow_us : int;
       (** without a deadline, a request slower than this is flagged
           [slow] and always retained by the recorder (default 10ms);
           with a deadline the threshold is half the budget *)
-  sampler_period_s : float;
-      (** gauge sampler interval; [<= 0] means the 1s default *)
 }
 
 val default_config : config
 (** [127.0.0.1:0], [jobs = 1], 8 MiB cache, queue capacity 64, no
     default deadline, no index; telemetry on, 256-record recorder,
-    10ms slow threshold, 1s sampler. *)
+    10ms slow threshold. *)
 
 type t
 
@@ -93,11 +91,6 @@ val reload_index : t -> (unit, string) result
     previous index, if any, stays in service.  In-flight lookups on a
     displaced reader finish against the old mapping — a swap is never
     observable mid-request. *)
-
-val cache_stats : t -> Cache.stats
-
-val recorder : t -> Recorder.t
-(** The live anomaly flight recorder (what the ["obs"] probe serves). *)
 
 val version_fields : unit -> (string * Rv_obs.Json.t) list
 (** The [version] admin reply's build-identity fields — also what

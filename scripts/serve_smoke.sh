@@ -9,7 +9,8 @@
 #      shed with an "overloaded" reply while health stays answerable;
 #   5. scrape the Prometheus exposition twice around extra traffic: the
 #      body must parse, carry no duplicate series, declare a TYPE for
-#      every sample, and every counter must be monotone;
+#      every sample, and every counter must be monotone; then every
+#      JSON metrics counter must equal its rv_serve_<key>_total sample;
 #   6. with --slow-us 0 every query is a retained anomaly: `rv obs tail`
 #      must list them and `rv obs dump --chrome` must write a parseable
 #      Chrome trace (kept as flight_dump.json for the CI artifact);
@@ -145,6 +146,24 @@ for key, v1 in s1.items():
         assert s2.get(key, -1.0) >= v1, f"counter {key} went backwards"
 assert s2["rv_serve_requests_total"] > s1["rv_serve_requests_total"]
 print(f"ok: {len(s1)} series, {len(fam1)} families, counters monotone")
+
+# Both renderings read the same counters: each JSON metrics counter must
+# equal its rv_serve_<key>_total sample.  The two probes are the only
+# traffic in between; each counts its own request before rendering and
+# its ok reply after, so the scrape sees one more request and one more
+# ok (the JSON probe's) than the JSON reply did.
+m = rpc('{"type":"metrics"}')
+_, s3 = scrape()
+own = {"requests": 1, "ok": 1}
+checked = 0
+for key, v in m.items():
+    sample = f"rv_serve_{key}_total"
+    if sample in s3:
+        want = v + own.get(key, 0)
+        assert s3[sample] == want, f"{sample} = {s3[sample]}, JSON {key} = {v}"
+        checked += 1
+assert checked >= 13, f"only {checked} JSON counters have a Prometheus sample"
+print(f"ok: {checked} JSON counters equal their Prometheus samples")
 EOF
 drain "$PID" "$TMP/prom.log"
 

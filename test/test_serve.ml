@@ -1155,11 +1155,55 @@ let prometheus_scrape_valid () =
     (requests "rv_serve_requests_total" series2
     > requests "rv_serve_requests_total" series)
 
+(* Gauges are read at scrape time, so they are live with telemetry off
+   too: the connection count and the GC figures move between scrapes. *)
+let prometheus_live_without_telemetry () =
+  with_server ~telemetry:false @@ fun server ->
+  let sample key =
+    with_client server @@ fun c ->
+    let body =
+      get_str "body" (rpc c {|{"type":"metrics","format":"prometheus"}|})
+    in
+    match List.assoc_opt key (prom_series body) with
+    | Some v -> int_of_float v
+    | None -> Alcotest.failf "no %s sample" key
+  in
+  let minor0 = sample "rv_serve_gc_minor_collections_total" in
+  Gc.minor ();
+  Alcotest.(check bool) "minor collections are live" true
+    (sample "rv_serve_gc_minor_collections_total" > minor0);
+  Alcotest.(check bool) "connections counted" true
+    (sample "rv_serve_connections_total" >= 3);
+  (* A large block grows the major heap; the scrape must see it. *)
+  let block = Sys.opaque_identity (Array.make 1_000_000 0) in
+  let before = (Gc.quick_stat ()).Gc.heap_words in
+  let heap = sample "rv_serve_gc_heap_words" in
+  let after = (Gc.quick_stat ()).Gc.heap_words in
+  Alcotest.(check bool)
+    (Printf.sprintf "heap words live (%d in [%d, %d])" heap before after)
+    true
+    (heap >= min before after && heap <= max before after);
+  ignore (Sys.opaque_identity block)
+
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
+
+(* [rendered] must equal the golden file at [path]; with RV_UPDATE_GOLDEN=1
+   (run from the test source directory) the file is rewritten first. *)
+let check_golden name path rendered =
+  if
+    (match Sys.getenv_opt "RV_UPDATE_GOLDEN" with
+    | Some "1" -> true
+    | _ -> false)
+  then begin
+    let oc = open_out_bin path in
+    output_string oc rendered;
+    close_out oc
+  end;
+  Alcotest.(check string) name (read_file path) rendered
 
 (* A fixed family list exercising every rendering rule: family and label
    ordering, escaping in HELP and label values, and the integer /
@@ -1192,19 +1236,90 @@ let prometheus_render_golden () =
       P.single "not_a_number" "NaN renders as NaN" P.Gauge_t Float.nan;
     ]
   in
-  let rendered = P.render families in
-  let path = "golden/prometheus_render.golden" in
-  if
-    (match Sys.getenv_opt "RV_UPDATE_GOLDEN" with
-    | Some "1" -> true
-    | _ -> false)
-  then begin
-    let oc = open_out_bin path in
-    output_string oc rendered;
-    close_out oc
-  end;
-  Alcotest.(check string) "exposition renders byte-stably" (read_file path)
-    rendered
+  check_golden "exposition renders byte-stably"
+    "golden/prometheus_render.golden" (P.render families)
+
+(* The server's whole metrics surface, independent of the values: the
+   ordered key lists of the health/metrics/version replies, then every
+   Prometheus family's TYPE line with its distinct label-key sets and
+   series counts.  Captured after a mix that takes every answer path —
+   index hit, compute, shed, LRU hit, bad request.  Regenerate with
+   RV_UPDATE_GOLDEN=1 (run from the test source directory). *)
+let serve_metrics_surface_golden () =
+  with_index_file @@ fun path ->
+  bake_index path [ iq ];
+  with_server ~index_path:path ~queue_cap:1 @@ fun server ->
+  with_client server @@ fun c ->
+  check_ok (rpc c iq);
+  (* Three queries in one write: the connection thread queues the first
+     and finds the one-slot queue still full for the next. *)
+  let heavy =
+    {|{"type":"worst","graph":"ring:24","algorithm":"fast","space":64,"pairs":16}|}
+  in
+  send c
+    (String.concat "\n"
+       [
+         heavy;
+         {|{"type":"run","graph":"ring:8","algorithm":"cheap","label_a":1,"label_b":2}|};
+         {|{"type":"run","graph":"ring:8","algorithm":"cheap","label_a":1,"label_b":3}|};
+       ]);
+  let statuses =
+    List.init 3 (fun _ ->
+        let r = recv c in
+        match get_str "status" r with
+        | "ok" -> "ok"
+        | _ -> get_str "code" r)
+  in
+  Alcotest.(check bool) "something shed" true (List.mem "overloaded" statuses);
+  check_ok (rpc c heavy);
+  check_error "bad_request" (rpc c "not json");
+  let m = rpc c {|{"type":"metrics"}|} in
+  List.iter
+    (fun k -> Alcotest.(check bool) (k ^ " counted") true (get_int k m >= 1))
+    [ "index_hits"; "cache_hits"; "cache_misses"; "overloaded"; "bad_request" ];
+  let keys reply =
+    match Json.parse reply with
+    | Ok (Json.Obj kvs) -> String.concat "," (List.map fst kvs)
+    | _ -> Alcotest.failf "not an object: %s" reply
+  in
+  let body = get_str "body" (rpc c {|{"type":"metrics","format":"prometheus"}|}) in
+  let label_keys key =
+    match String.index_opt key '{' with
+    | None -> "{}"
+    | Some i ->
+        let inner = String.sub key (i + 1) (String.length key - i - 2) in
+        String.split_on_char ',' inner
+        |> List.map (fun kv -> List.hd (String.split_on_char '=' kv))
+        |> String.concat "," |> Printf.sprintf "{%s}"
+  in
+  let series = List.map fst (prom_series body) in
+  let family_lines (name, typ) =
+    let sets =
+      List.filter_map
+        (fun k ->
+          if String.equal (series_family k) name then Some (label_keys k)
+          else None)
+        series
+    in
+    Printf.sprintf "# TYPE %s %s" name typ
+    :: List.map
+         (fun set ->
+           Printf.sprintf "  %s x%d" set
+             (List.length (List.filter (String.equal set) sets)))
+         (List.sort_uniq String.compare sets)
+  in
+  let rendered =
+    String.concat "\n"
+      ([
+         "health: " ^ keys (rpc c {|{"type":"health"}|});
+         "metrics: " ^ keys m;
+         "version: " ^ keys (rpc c {|{"type":"version"}|});
+       ]
+      @ List.concat_map family_lines (prom_families body))
+    ^ "\n"
+  in
+  check_golden "metrics surface unchanged"
+    "golden/serve_metrics_surface.golden" rendered
 
 (* --- loadgen server-side scrape ----------------------------------------- *)
 
@@ -1319,6 +1434,9 @@ let () =
         [
           tc "scrape is well-formed and monotone" prometheus_scrape_valid;
           tc "renderer matches the golden exposition" prometheus_render_golden;
+          tc "metrics surface matches the golden" serve_metrics_surface_golden;
+          tc "gauges are live with telemetry off"
+            prometheus_live_without_telemetry;
         ] );
       ( "loadgen",
         [ tc "post-run scrape and clock check" loadgen_scrapes_server_window ] );
