@@ -99,7 +99,7 @@ let bench_warmup ~default =
 (* Sweep kernel: the full ordered position-pair space of a ring (the
    symmetry quotient's home turf — n rotations collapse the n(n-1)
    ordered pairs to the n-1 representatives (0, c)), swept reduced by
-   default and once unreduced (RV_NO_SYM path) to assert the worst cell
+   default and once unreduced ([~sym:false]) to assert the worst cell
    is identical.  The reduced sweep is also run through the domain pool
    at 1/2/4/8 domains with the result asserted identical at every pool
    size — the engine's determinism guarantee, re-checked on every bench
@@ -159,7 +159,7 @@ let sweep_speedup () =
      wall-clock is reported for the record. *)
   let unreduced, unreduced_seconds = timed ~sym:false 1 in
   if unreduced <> reference then
-    failwith "sweep kernel: reduced sweep diverged from RV_NO_SYM reference";
+    failwith "sweep kernel: reduced sweep diverged from the unreduced reference";
   let worst_t, worst_c = reference in
   let position_pairs = n * (n - 1) in
   let representatives = n - 1 in
@@ -175,7 +175,7 @@ let sweep_speedup () =
          ([
             Printf.sprintf
               "Worst time %d, worst cost %d -- asserted identical at every pool size \
-               and vs the unreduced (RV_NO_SYM) sweep (%.3fs)."
+               and vs the unreduced (--no-sym) sweep (%.3fs)."
               worst_t worst_c unreduced_seconds;
             Printf.sprintf
               "Symmetry %s: %d of %d ordered position pairs simulated per label pair \

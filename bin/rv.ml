@@ -328,8 +328,8 @@ let sweep_stats_report () =
     c.Rv_sim.Traj_cache.hits lookups (100. *. ratio)
 
 let sweep_cmd =
-  let sweep graph explorer algo space max_pairs max_delay all_pairs jobs jsonl csv stats
-      metrics =
+  let sweep graph explorer algo space max_pairs max_delay all_pairs reference no_sym jobs
+      jsonl csv stats metrics =
     let gs, ex, algorithm = parse_common ~graph ~explorer ~algo in
     let e = Rv_experiments.Workload.e_of ex in
     let delays =
@@ -358,8 +358,10 @@ let sweep_cmd =
     let outcome =
       with_metrics metrics (fun () ->
           with_pool jobs (fun pool ->
-              Rv_experiments.Workload.worst_for ?pool ?sink ~progress
-                ~graph_spec:gs.Spec.spec ~g:gs.Spec.g ~algorithm ~space ~explorer:ex
+              Rv_experiments.Workload.worst_for
+                ~dispatch:(if reference then `Reference else `Auto)
+                ~sym:(not no_sym) ?pool ?sink ~progress ~graph_spec:gs.Spec.spec
+                ~g:gs.Spec.g ~algorithm ~space ~explorer:ex
                 ~pairs ~positions ~delays ()))
     in
     Option.iter Rv_engine.Sink.close sink;
@@ -405,8 +407,26 @@ let sweep_cmd =
             "Sweep every ordered starting-position pair instead of pinning \
              agent A to node 0.  On vertex-transitive graphs the sweep \
              evaluates only one representative per symmetry orbit and \
-             replays the rest (disable with RV_NO_SYM=1; the output is \
+             replays the rest (disable with --no-sym; the output is \
              byte-identical either way).")
+  in
+  let reference =
+    Arg.(
+      value & flag
+      & info [ "reference" ]
+          ~doc:
+            "Simulate every configuration with the reference round-by-round \
+             simulator instead of the trajectory fast path.  The table and \
+             every streamed record are byte-identical either way.")
+  in
+  let no_sym =
+    Arg.(
+      value & flag
+      & info [ "no-sym" ]
+          ~doc:
+            "With --all-pairs, sweep every position pair instead of one \
+             representative per symmetry orbit.  The table and every \
+             streamed record are byte-identical either way.")
   in
   let jsonl =
     Arg.(
@@ -435,7 +455,7 @@ let sweep_cmd =
     (Cmd.info "sweep" ~doc:"Worst-case time/cost over starts, delays and labels")
     Term.(
       const sweep $ graph_arg $ explorer_arg $ algo_arg $ space_arg $ max_pairs $ max_delay
-      $ all_pairs $ jobs_arg $ jsonl $ csv $ stats $ metrics_arg)
+      $ all_pairs $ reference $ no_sym $ jobs_arg $ jsonl $ csv $ stats $ metrics_arg)
 
 (* explore *)
 

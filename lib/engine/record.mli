@@ -35,7 +35,9 @@ val to_json : t -> string
 
 val of_json : string -> (t, string) result
 (** Parse a line produced by {!to_json}.  Tolerates whitespace and field
-    reordering; [Error] describes the first problem found. *)
+    reordering, but every value must be a string, an integer or a boolean
+    (no floats, nulls or nested values); [Error] describes the first
+    problem found. *)
 
 val csv_header : string
 (** Column names, comma-separated, matching {!to_csv}. *)

@@ -28,7 +28,8 @@
     hard-coded, so the model tracks the machine it runs on.
 
     The choice never affects results — both paths are byte-equivalent —
-    only which one runs; CI's RV_NO_TRAJ byte-comparison enforces this. *)
+    only which one runs; CI's [rv sweep --reference] byte-comparison
+    enforces this. *)
 
 type features = {
   configs : int;  (** configurations (pair x position x delay cells) *)

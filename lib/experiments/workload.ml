@@ -189,13 +189,12 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
   let non_empty = function [] -> false | _ :: _ -> true in
   let have_work = non_empty pairs && non_empty expand && non_empty delays in
   (* Trajectory-path eligibility.  Deep-trace runs (per-phase spans need
-     the live simulator) keep the reference path, as does RV_NO_TRAJ=1
-     or [~dispatch:`Reference].  The parachute model is served by
-     Traj.meet_intervals — walks are model-independent, presence only
-     gates detection — so it is no longer excluded. *)
+     the live simulator) keep the reference path, as does
+     [~dispatch:`Reference] ([rv sweep --reference]).  The parachute
+     model is served by Traj.meet_intervals — walks are model-independent,
+     presence only gates detection — so it is no longer excluded. *)
   let traj_allowed =
     (match dispatch with `Reference -> false | `Fast | `Auto -> true)
-    && Sys.getenv_opt "RV_NO_TRAJ" = None
     && not (Rv_obs.Obs.deep ())
   in
   let build_traj ~label ~start =
@@ -221,7 +220,6 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
      unreduced sweep rather than trusting the graph alone. *)
   let sym_wanted =
     sym
-    && Sys.getenv_opt "RV_NO_SYM" = None
     && (match positions with `All_pairs -> true | `Fixed_first | `Pairs _ -> false)
     && have_work
   in
@@ -366,7 +364,7 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
   (* Simulate one configuration; returns the outcome fields the sweep
      consumes.  All paths agree exactly (property-tested in
      test/test_traj.ml for both models, re-asserted at bench time and by
-     CI's RV_NO_TRAJ / RV_NO_SYM byte comparisons). *)
+     CI's [rv sweep --reference] / [--no-sym] byte comparisons). *)
   let simulate tally ~la ~lb ~pa ~pb ~da ~db =
     let reused =
       List.find_opt

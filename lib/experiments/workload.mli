@@ -74,14 +74,13 @@ val worst_for :
     model, {!Rv_sim.Traj.meet_intervals} for the parachute model.
     Outcomes — including the byte stream written to [sink] — are
     identical on every path; deep-trace runs ({!Rv_obs.Obs.deep}) always
-    use the reference simulator, and setting the [RV_NO_TRAJ]
-    environment variable forces it globally (CI compares the byte
-    streams).
+    use the reference simulator, and [`Reference] ([rv sweep --reference])
+    forces it (CI compares the byte streams).
 
     {b Symmetry reduction.}  When [positions] is [`All_pairs], [sym] is
-    [true] (the default) and the [RV_NO_SYM] environment variable is
-    unset, the sweep detects the graph's port-preserving automorphism
-    group ({!Rv_graph.Symmetry}), certifies that every label's walk is
+    [true] (the default; [rv sweep --no-sym] passes [false]), the sweep
+    detects the graph's port-preserving automorphism group
+    ({!Rv_graph.Symmetry}), certifies that every label's walk is
     equivariant under it (port-sequence comparison per automorphism —
     explorers that follow node identities rather than observations fail
     here and fall back to the unreduced sweep), and then evaluates only
@@ -89,7 +88,7 @@ val worst_for :
     [1/orbit_size] of the space — replaying the full configuration
     stream through the representative table.  The output — worst cell
     and every sink byte — is identical to the unreduced sweep (CI
-    byte-compares against [RV_NO_SYM=1]); the only observable difference
+    byte-compares against [--no-sym]); the only observable difference
     is eagerness: a failing pair's representatives are all evaluated
     even though the replayed stream stops at the failure.
     [`Fixed_first] is never reduced — under a free transitive action it

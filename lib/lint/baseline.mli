@@ -13,7 +13,7 @@ type key = {
 type t = (key * int) list  (** sorted by key; counts >= 1 *)
 
 val of_findings : Report.finding list -> t
-val to_json : t -> Json.t
+val to_json : t -> Rv_obs.Json.t
 
 val load : string -> (t, string) result
 (** Unreadable or corrupt baselines are [Error], never exceptions. *)

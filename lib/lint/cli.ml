@@ -3,6 +3,8 @@
    Kept here (and free of cmdliner) so both binaries print identical
    reports and agree on exit codes: 0 clean, 1 findings, 2 usage error. *)
 
+module Json = Rv_obs.Json
+
 let default_paths = [ "lib"; "bin"; "bench"; "test"; "examples" ]
 let core_paths = [ "lib"; "bin"; "bench" ]
 

@@ -39,13 +39,13 @@ let add_escaped b s =
         | c -> Buffer.add_char b c)
       s
 
+(* Integral floats keep a ".0" up to 1e18; beyond that "%.1f" would print
+   every digit, so they take "%.17g", which parses back to the same float. *)
 let float_to_string f =
-  if
-    (not (Float.is_finite f))  (* nan and both infinities serialise as 0 *)
-    || (Float.is_integer f && Float.abs f > 1e18)
-  then "0"
-  else if Float.is_integer f then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.12g" f
+  if not (Float.is_finite f) then "0"  (* nan and both infinities serialise as 0 *)
+  else if not (Float.is_integer f) then Printf.sprintf "%.12g" f
+  else if Float.abs f > 1e18 then Printf.sprintf "%.17g" f
+  else Printf.sprintf "%.1f" f
 
 (* Serve replies are mostly small non-negative ints; rendering them from
    a fixed table skips a string_of_int allocation per field. *)

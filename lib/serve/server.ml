@@ -638,20 +638,11 @@ let contains_sub s sub =
   m > 0 && go 0
 
 let feature_flags () =
-  let fs = [ Json.Str "traj-cache" ] in
-  let fs =
-    if
-      contains_sub Build_meta.profile "tsan"
-      || contains_sub Build_meta.context "tsan"
-    then fs @ [ Json.Str "tsan" ]
-    else fs
-  in
-  let fs =
-    match Sys.getenv_opt "RV_NO_TRAJ" with
-    | Some _ -> fs @ [ Json.Str "no-traj-env" ]
-    | None -> fs
-  in
-  fs
+  Json.Str "traj-cache"
+  ::
+  (if contains_sub Build_meta.profile "tsan" || contains_sub Build_meta.context "tsan" then
+     [ Json.Str "tsan" ]
+   else [])
 
 let status typ = [ ("status", Json.Str "ok"); ("type", Json.Str typ) ]
 

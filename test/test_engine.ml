@@ -163,13 +163,33 @@ let test_jsonl_roundtrip () =
    with
   | Ok r -> Alcotest.(check string) "reordered graph" "g" r.Record.graph
   | Error e -> Alcotest.fail ("reordered: " ^ e));
-  (* Malformed input is an Error, not an exception. *)
+  (* Malformed input is an Error, not an exception.  Values are read
+     strictly: no integral floats, quoted booleans, nulls or nested
+     objects, in a schema field or any other. *)
+  let line ?(graph = {|"g"|}) ?(label_a = "1") ?(met = "true") ?(time = "3") ?(extra = "")
+      () =
+    Printf.sprintf
+      {|{"graph":%s,"algorithm":"a","label_a":%s,"label_b":2,"start_a":0,"start_b":1,"delay_a":0,"delay_b":0,"met":%s,"time":%s,"cost":4%s}|}
+      graph label_a met time extra
+  in
+  Alcotest.(check bool) "template parses" true (Result.is_ok (Record.of_json (line ())));
   List.iter
     (fun bad ->
       match Record.of_json bad with
       | Ok _ -> Alcotest.fail ("accepted malformed: " ^ bad)
       | Error _ -> ())
-    [ ""; "{"; "not json"; {|{"graph":"g"}|}; Record.to_json sample_record ^ "x" ]
+    [
+      "";
+      "{";
+      "not json";
+      {|{"graph":"g"}|};
+      Record.to_json sample_record ^ "x";
+      line ~time:"1.0" ();
+      line ~met:{|"true"|} ();
+      line ~label_a:"null" ();
+      line ~graph:{|{"a":1}|} ();
+      line ~extra:{|,"extra":{"a":1}|} ();
+    ]
 
 let test_csv () =
   Alcotest.(check string) "header columns"

@@ -631,7 +631,7 @@ let baseline_json_roundtrip () =
   let path = Filename.temp_file "rv_lint_baseline" ".json" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let oc = open_out path in
-  output_string oc (Rv_lint.Json.to_string (Baseline.to_json bl));
+  output_string oc (Rv_obs.Json.to_string (Baseline.to_json bl));
   close_out oc;
   match Baseline.load path with
   | Error e -> Alcotest.failf "roundtrip load failed: %s" e

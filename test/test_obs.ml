@@ -60,7 +60,15 @@ let test_json_roundtrip () =
       match Json.parse bad with
       | Ok _ -> Alcotest.fail ("accepted malformed: " ^ bad)
       | Error _ -> ())
-    [ ""; "{"; "[1,"; "{\"a\":}"; "nul"; "1 2" ]
+    [ ""; "{"; "[1,"; "{\"a\":}"; "nul"; "1 2" ];
+  (* Large integral floats keep their value (they once rendered as "0",
+     which the string comparison above cannot see). *)
+  List.iter
+    (fun f ->
+      match Json.parse (Json.to_string (Json.Float f)) with
+      | Ok v -> Alcotest.(check bool) (Printf.sprintf "value %g" f) true (v = Json.Float f)
+      | Error e -> Alcotest.fail e)
+    [ 1e19; -1.5e18; 2.5e300 ]
 
 (* ----------------------------------------------------------------- spans *)
 

@@ -124,7 +124,7 @@ let test_canon_pair_properties () =
    equality, which pins every outcome field and the stream order) and
    return the same worst cell — across families, algorithms and seeded
    delay draws.  [sym:false] runs the identical code with the quotient
-   disabled, standing in for RV_NO_SYM=1. *)
+   disabled, as [rv sweep --no-sym] does. *)
 let reduced_families () =
   [
     ( "ring:8",
