@@ -131,7 +131,9 @@ let connect ~host ~port =
   let rec go attempt =
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     match Unix.connect fd addr with
-    | () -> Ok fd
+    | () ->
+        Proto.setup_socket fd;
+        Ok fd
     | exception Unix.Unix_error (e, _, _) ->
         (try Unix.close fd with Unix.Unix_error _ -> ());
         if attempt >= 50 then
@@ -152,11 +154,7 @@ let rpc ?(host = "127.0.0.1") ~port line =
   | Ok fd -> (
       let ic = Unix.in_channel_of_descr fd in
       let oc = Unix.out_channel_of_descr fd in
-      let finally () =
-        (try close_out oc with Sys_error _ | Unix.Unix_error _ -> ());
-        try close_in ic with Sys_error _ | Unix.Unix_error _ -> ()
-      in
-      Fun.protect ~finally @@ fun () ->
+      Fun.protect ~finally:(fun () -> Proto.close_socket fd oc) @@ fun () ->
       try
         output_string oc line;
         output_char oc '\n';
@@ -251,11 +249,8 @@ let drive_churn ~host ~port ~requests ~churn result =
       | Ok fd -> (
           let ic = Unix.in_channel_of_descr fd in
           let oc = Unix.out_channel_of_descr fd in
-          let finally () =
-            (try close_out oc with Sys_error _ | Unix.Unix_error _ -> ());
-            try close_in ic with Sys_error _ | Unix.Unix_error _ -> ()
-          in
-          Fun.protect ~finally @@ fun () ->
+          Fun.protect ~finally:(fun () -> Proto.close_socket fd oc)
+          @@ fun () ->
           let t0 = Clock.now_us () in
           try
             output_string oc (cached_line ~id:(requests + k) k);

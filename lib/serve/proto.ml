@@ -75,6 +75,13 @@ let max_position = 10_000_000
 let max_spec_len = 256
 let max_line_len = 65_536
 
+let setup_socket fd =
+  try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
+
+let close_socket fd oc =
+  (try flush oc with Sys_error _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
 let find_field fields name =
   List.find_map (fun (k, v) -> if String.equal k name then Some v else None) fields
 

@@ -76,6 +76,21 @@ val max_line_len : int
 (** Longest accepted request line, in bytes; the server's reader stops
     buffering there. *)
 
+val setup_socket : Unix.file_descr -> unit
+(** Socket options for either end of an rv connection: sets
+    [TCP_NODELAY], so a reply line leaves as soon as it is written.  With
+    Nagle's algorithm on, a reply written while an earlier one on the same
+    connection is unacknowledged waits for the peer's next request (or its
+    delayed-ACK timer) to carry the ACK.  A descriptor that refuses the
+    option is left as it is. *)
+
+val close_socket : Unix.file_descr -> out_channel -> unit
+(** Flush [oc], then close [fd] exactly once, ignoring errors.  [fd] is
+    the descriptor under both of a connection's channels: [close_out]
+    then [close_in] would close the number twice, and under connection
+    churn the kernel may hand that number to another thread's new
+    connection in between — the second close would tear it down. *)
+
 val parse : string -> (request, string) result
 (** Parse and validate one request line.  Never raises. *)
 

@@ -109,7 +109,7 @@ type t = {
   conns_lock : Mutex.t;
   mutable conn_threads : Thread.t list;
   mutable acceptor : Thread.t option;
-  mutable dispatcher : Thread.t option;
+  mutable dispatcher : unit Domain.t option;
   started_us : float;
   (* Per-server state backs every metrics reply: the Rv_obs registries
      are process-global and tests run several servers in one process. *)
@@ -693,31 +693,37 @@ let admin_fields t = function
 let process t job =
   let conn = job.j_conn in
   let sp = job.j_sp in
-  (* One clock read serves the queue-wait histogram, the queue stage's
-     close and the index stage's open. *)
-  let dequeued_us = Clock.now_us () in
-  Rspan.stage_end ~now_us:dequeued_us sp "queue";
-  Histogram.observe_t t.h_queue_wait
-    (int_of_float (dequeued_us -. Rspan.recv_us sp));
-  (match answer t ~now_us:dequeued_us sp job.j_query job.j_key with
-  | Some fields -> reply_ok t conn ~sp ~id:job.j_id fields
-  | None -> (
-      Rspan.set_path sp Rspan.Sim;
-      Rspan.stage_begin sp "compute";
-      let result =
-        Handler.eval_vals ?pool:t.pool ~deadline_us:job.j_deadline_us
-          job.j_query
-      in
-      Rspan.stage_end sp "compute";
-      match result with
-      | Ok v ->
-          let fields = Handler.fields_of_vals job.j_query v in
-          Cache.add t.cache job.j_key fields;
-          note_backfill t job.j_key (Handler.values_of_vals v);
-          reply_ok t conn ~sp ~id:job.j_id fields
-      | Error (code, msg, extra) ->
-          reply_error t conn ~sp ~id:job.j_id ~extra code msg));
-  Atomic.decr conn.inflight
+  (* The connection's teardown waits for [inflight] to reach zero, so the
+     decrement must survive any exception; the exception itself is the
+     client's [internal] reply, as on the connection thread. *)
+  Fun.protect ~finally:(fun () -> Atomic.decr conn.inflight) @@ fun () ->
+  try
+    (* One clock read serves the queue-wait histogram, the queue stage's
+       close and the index stage's open. *)
+    let dequeued_us = Clock.now_us () in
+    Rspan.stage_end ~now_us:dequeued_us sp "queue";
+    Histogram.observe_t t.h_queue_wait
+      (int_of_float (dequeued_us -. Rspan.recv_us sp));
+    match answer t ~now_us:dequeued_us sp job.j_query job.j_key with
+    | Some fields -> reply_ok t conn ~sp ~id:job.j_id fields
+    | None -> (
+        Rspan.set_path sp Rspan.Sim;
+        Rspan.stage_begin sp "compute";
+        let result =
+          Handler.eval_vals ?pool:t.pool ~deadline_us:job.j_deadline_us
+            job.j_query
+        in
+        Rspan.stage_end sp "compute";
+        match result with
+        | Ok v ->
+            let fields = Handler.fields_of_vals job.j_query v in
+            Cache.add t.cache job.j_key fields;
+            note_backfill t job.j_key (Handler.values_of_vals v);
+            reply_ok t conn ~sp ~id:job.j_id fields
+        | Error (code, msg, extra) ->
+            reply_error t conn ~sp ~id:job.j_id ~extra code msg)
+  with exn ->
+    reply_error t conn ~sp ~id:job.j_id Proto.Internal (Printexc.to_string exn)
 
 let dispatch_loop t =
   let rec loop () =
@@ -863,14 +869,9 @@ let handle_conn t fd =
         end
       in
       settle 0;
-      (* Exactly one close for the one descriptor both channels share:
-         close_out followed by close_in is a double close, and under
-         connection churn the kernel reuses the number between the two —
-         the second close would tear down a stranger's brand-new
-         connection (the soak harness catches this as a stuck registry
-         entry on the victim). *)
-      (try flush conn.oc with Sys_error _ -> ());
-      try Unix.close fd with Unix.Unix_error _ -> ())
+      (* The soak harness catches a double close here as a stuck
+         registry entry on the victim connection. *)
+      Proto.close_socket fd conn.oc)
     (fun () ->
       let rec loop () =
         if Atomic.get conn.dead then ()
@@ -897,6 +898,7 @@ let accept_loop t =
   let rec loop () =
     match Unix.accept t.lsock with
     | fd, _ ->
+        Proto.setup_socket fd;
         let th =
           Thread.create
             (fun () ->
@@ -1002,7 +1004,7 @@ let start cfg =
   if cfg.index_backfill && Option.is_some cfg.index_path then
     t.backfill_thread <- Some (Thread.create backfill_loop t);
   t.acceptor <- Some (Thread.create accept_loop t);
-  t.dispatcher <- Some (Thread.create dispatch_loop t);
+  t.dispatcher <- Some (Domain.spawn (fun () -> dispatch_loop t));
   t
 
 let request_stop t =
@@ -1019,7 +1021,7 @@ let join t =
     (* Admitted jobs finish and their responses are written before any
        connection is torn down. *)
     Admission.drain t.queue;
-    (match t.dispatcher with Some th -> Thread.join th | None -> ());
+    (match t.dispatcher with Some d -> Domain.join d | None -> ());
     (* The dispatcher has stopped feeding the pending table; one final
        publish persists whatever the last interval accumulated. *)
     Atomic.set t.backfill_stop true;

@@ -2,12 +2,22 @@
     rendezvous stack, with admission control, a canonical-key result
     cache, per-request deadlines and graceful drain.
 
-    Thread structure: one acceptor, one connection thread per client,
-    and a single dispatcher that pops admitted jobs and evaluates them —
-    inline when [jobs <= 1], fanning label pairs out over an
-    {!Rv_engine.Pool} of worker domains otherwise.  Compute never runs
-    on connection threads, so the trajectory cache (domain-local state)
-    is only ever touched from the dispatcher or from pool workers.
+    Thread structure: one acceptor and one connection thread per client
+    in the caller's domain, and a dispatcher in a domain of its own that
+    pops admitted jobs and evaluates them — inline when [jobs <= 1],
+    fanning label pairs out over an {!Rv_engine.Pool} of worker domains
+    otherwise.  Connection threads answer index and cache hits
+    themselves; with the dispatcher in its own domain they keep doing so
+    while a miss computes, instead of waiting for the runtime lock.
+    Compute never runs on connection threads, so the trajectory cache
+    (domain-local state) is only ever touched from the dispatcher or
+    from pool workers.
+
+    Every accepted socket sets [TCP_NODELAY] ({!Proto.setup_socket}).
+    Hits and computed replies share a connection, so a reply is often
+    written while the previous one is still unacknowledged; Nagle's
+    algorithm would hold it until the client's next request carried the
+    ACK.
 
     Determinism contract: for the same request stream, response {e
     bytes} are identical across [jobs = 1] and [jobs > 1] (the sweep
@@ -24,7 +34,7 @@
 type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
   port : int;  (** [0] binds an ephemeral port (see {!port}) *)
-  jobs : int;  (** [<= 1] = evaluate inline on the dispatcher thread *)
+  jobs : int;  (** [<= 1] = evaluate inline on the dispatcher domain *)
   cache_bytes : int;  (** result-cache budget; [<= 0] disables caching *)
   queue_cap : int;
       (** admission-queue bound; a full queue answers [overloaded]

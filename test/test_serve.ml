@@ -440,6 +440,26 @@ let proto_parse_and_keys () =
       "42";
     ]
 
+(* Both ends of a loopback pair: the kernel's default leaves Nagle's
+   algorithm on, and the helper turns it off. *)
+let setup_socket_sets_nodelay () =
+  let nodelay fd = Unix.getsockopt fd Unix.TCP_NODELAY in
+  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close lsock) @@ fun () ->
+  Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lsock 1;
+  let client = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close client) @@ fun () ->
+  Unix.connect client (Unix.getsockname lsock);
+  let accepted, _ = Unix.accept lsock in
+  Fun.protect ~finally:(fun () -> Unix.close accepted) @@ fun () ->
+  Alcotest.(check bool) "client default" false (nodelay client);
+  Alcotest.(check bool) "accepted default" false (nodelay accepted);
+  Proto.setup_socket client;
+  Proto.setup_socket accepted;
+  Alcotest.(check bool) "client" true (nodelay client);
+  Alcotest.(check bool) "accepted" true (nodelay accepted)
+
 (* --- unit: cache ------------------------------------------------------- *)
 
 let cache_lru_eviction () =
@@ -1441,7 +1461,11 @@ let () =
       ( "loadgen",
         [ tc "post-run scrape and clock check" loadgen_scrapes_server_window ] );
       ( "proto",
-        [ tc "canonical keys and strict parsing" proto_parse_and_keys ] );
+        [
+          tc "canonical keys and strict parsing" proto_parse_and_keys;
+          tc "socket setup sets TCP_NODELAY on both ends"
+            setup_socket_sets_nodelay;
+        ] );
       ( "cache-unit",
         [
           tc "LRU eviction order" cache_lru_eviction;
