@@ -79,23 +79,6 @@ let benchmark_kernels () =
        ~notes:[ "Fixed-size kernels (smaller than the tables above); monotonic clock." ]
        rows)
 
-(* Rep/warmup counts for the hand-rolled timing loops, overridable from
-   the environment so CI can cheapen a smoke run (RV_BENCH_REPS=1) or a
-   quiet machine can tighten the minimum (RV_BENCH_REPS=10). *)
-let bench_reps ~default =
-  match Sys.getenv_opt "RV_BENCH_REPS" with
-  | Some s -> ( match int_of_string_opt (String.trim s) with
-    | Some v when v >= 1 -> v
-    | Some _ | None -> default)
-  | None -> default
-
-let bench_warmup ~default =
-  match Sys.getenv_opt "RV_BENCH_WARMUP" with
-  | Some s -> ( match int_of_string_opt (String.trim s) with
-    | Some v when v >= 0 -> v
-    | Some _ | None -> default)
-  | None -> default
-
 (* Sweep kernel: the full ordered position-pair space of a ring (the
    symmetry quotient's home turf — n rotations collapse the n(n-1)
    ordered pairs to the n-1 representatives (0, c)), swept reduced by
@@ -460,8 +443,8 @@ let obs_overhead () =
    the reference path and hold ~1.0x.  EXP-A at full table size remains
    the fast path's acceptance kernel (>= 3x wall-clock).  Each cell
    (one worst_for sweep) is timed individually, so the JSON records a
-   per-table p50 cell latency alongside the totals.  Reps come from
-   RV_BENCH_REPS (default 3, min-of).  The numbers land in
+   per-table p50 cell latency alongside the totals.  Each cell's time is
+   the minimum over 5 reps after 1 warm-up.  The numbers land in
    BENCH_traj.json; `main.exe traj` runs only this section, which is how
    CI publishes the artifact without paying for the Bechamel run.
    Speedups are sequential-vs-sequential, so unlike BENCH_sweep.json
@@ -564,8 +547,8 @@ let traj_speedup () =
           R.[ Cheap; Cheap_simultaneous; Fast ])
       [ 4; 16 ]
   in
-  let reps = bench_reps ~default:5 in
-  let warmup = bench_warmup ~default:1 in
+  let reps = 5 in
+  let warmup = 1 in
   let median a =
     let a = Array.copy a in
     Array.sort Float.compare a;
@@ -643,7 +626,7 @@ let traj_speedup () =
        ~notes:
          [
            Printf.sprintf
-             "Min of %d runs each (RV_BENCH_REPS); per-cell results asserted \
+             "Min of %d runs each; per-cell results asserted \
               identical before timing."
              reps;
            "EXP-A at full table size is the acceptance kernel (target >= 3x);";

@@ -7,6 +7,7 @@
      explore  verify an exploration procedure and report measured bounds
      lb       run the Section-3 lower-bound pipelines and print their reports
      exp      print experiment tables from the DESIGN.md index
+     selftest verify exploration contracts and bounds across builtin families
      async    adversarial-scheduler analysis (asynchronous model)
      gather   k-agent gathering with merge-on-meet semantics
      dot      emit a Graphviz rendering of a graph spec
@@ -62,22 +63,22 @@ let parse_common ~graph ~explorer ~algo =
   let a = or_die (Spec.parse_algorithm algo) in
   (g, ex, a)
 
-(* Multicore: -j/--jobs (or RV_JOBS) selects the engine's domain count;
-   0 means "auto" = Domain.recommended_domain_count.  Results are
-   bit-for-bit identical for every value (Rv_engine.Sweep merges in task
-   order), so parallelism is purely a wall-clock knob. *)
+(* Multicore: -j/--jobs selects the engine's domain count; 0 means
+   "auto" = Domain.recommended_domain_count.  Results are bit-for-bit
+   identical for every value (Rv_engine.Sweep merges in task order), so
+   parallelism is purely a wall-clock knob. *)
 
 let jobs_arg =
   let doc =
     "Worker domains for adversarial sweeps (0 = auto: the hardware's \
      recommended domain count).  Results are identical for every value."
   in
-  Arg.(
-    value & opt int 0
-    & info [ "j"; "jobs" ] ~docv:"N" ~env:(Cmd.Env.info "RV_JOBS") ~doc)
+  Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+
+let resolve_jobs jobs = if jobs > 0 then jobs else Domain.recommended_domain_count ()
 
 let with_pool jobs f =
-  let jobs = if jobs > 0 then jobs else Domain.recommended_domain_count () in
+  let jobs = resolve_jobs jobs in
   if jobs <= 1 then f None
   else begin
     let pool = Rv_engine.Pool.create ~jobs () in
@@ -86,8 +87,19 @@ let with_pool jobs f =
       (fun () -> f (Some pool))
   end
 
-(* --metrics: enable the rv_obs collectors around [f] and append the
-   console summary (spans, counters, histograms, GC delta) to stderr. *)
+(* Enable and reset the rv_obs collectors, run [f], and return its
+   result with the GC delta over the run. *)
+let collect f =
+  Rv_obs.Obs.set_enabled true;
+  Rv_obs.Obs.reset ();
+  Rv_obs.Counter.reset ();
+  Rv_obs.Histogram.reset ();
+  let before = Rv_obs.Gc_snapshot.take () in
+  let r = f () in
+  (r, Rv_obs.Gc_snapshot.diff ~before ~after:(Rv_obs.Gc_snapshot.take ()))
+
+(* --metrics: collect around [f] and append the console summary (spans,
+   counters, histograms, GC delta) to stderr. *)
 
 let metrics_arg =
   Arg.(
@@ -101,52 +113,37 @@ let metrics_arg =
 let with_metrics metrics f =
   if not metrics then f ()
   else begin
-    Rv_obs.Obs.set_enabled true;
-    Rv_obs.Obs.reset ();
-    Rv_obs.Counter.reset ();
-    Rv_obs.Histogram.reset ();
-    let before = Rv_obs.Gc_snapshot.take () in
-    let r = f () in
-    let after = Rv_obs.Gc_snapshot.take () in
-    Printf.eprintf "%s%!"
-      (Rv_obs.Export_console.summary ~gc:(Rv_obs.Gc_snapshot.diff ~before ~after) ());
+    let r, gc = collect f in
+    Printf.eprintf "%s%!" (Rv_obs.Export_console.summary ~gc ());
     r
   end
 
-(* run *)
+(* run / trace: one rendezvous between two parties *)
 
-let run_cmd =
-  let run graph explorer algo space la lb sa sb da db trace parachute =
-    let gs, ex, algorithm = parse_common ~graph ~explorer ~algo in
-    let model = if parachute then Rv_sim.Sim.Parachute else Rv_sim.Sim.Waiting in
-    let out =
-      R.run ~model ~record:trace ~g:gs.Spec.g ~explorer:ex ~algorithm ~space
-        { R.label = la; start = sa; delay = da }
-        { R.label = lb; start = sb; delay = db }
-    in
-    let e = Rv_experiments.Workload.e_of ex in
-    Printf.printf "graph       : %s (n=%d, E=%d)\n" gs.Spec.spec
-      (Rv_graph.Port_graph.n gs.Spec.g) e;
-    Printf.printf "algorithm   : %s, label space L=%d\n" (R.name algorithm) space;
-    Printf.printf "agents      : A(label %d, start %d, delay %d)  B(label %d, start %d, delay %d)\n"
-      la sa da lb sb db;
-    (match out.Rv_sim.Sim.meeting_round with
-    | Some r ->
-        Printf.printf "rendezvous  : node %d in round %d (time %d = %.2f E)\n"
-          (Option.get out.Rv_sim.Sim.meeting_node)
-          r r
-          (float_of_int r /. float_of_int e)
-    | None -> Printf.printf "rendezvous  : NOT REACHED within %d rounds\n" out.Rv_sim.Sim.rounds_run);
-    Printf.printf "cost        : %d traversals (A %d + B %d = %.2f E)\n" out.Rv_sim.Sim.cost
-      out.Rv_sim.Sim.cost_a out.Rv_sim.Sim.cost_b
-      (float_of_int out.Rv_sim.Sim.cost /. float_of_int e);
-    Printf.printf "crossings   : %d (unnoticed, per the model)\n" out.Rv_sim.Sim.crossings;
-    Printf.printf "proven      : time <= %d, cost <= %d\n"
-      (R.proven_time_bound algorithm ~e ~space)
-      (R.proven_cost_bound algorithm ~e ~space);
-    match out.Rv_sim.Sim.trace with
-    | Some t when trace -> Format.printf "%a" Rv_sim.Trace.pp t
-    | Some _ | None -> ()
+type scenario = {
+  gs : Spec.graph;
+  explorer : start:int -> Rv_explore.Explorer.t;
+  algorithm : R.algorithm;
+  space : int;
+  party_a : R.party;
+  party_b : R.party;
+  model : Rv_sim.Sim.model;
+}
+
+let scenario_term =
+  let make graph explorer algo space la lb sa sb da db parachute =
+    let gs, explorer, algorithm = parse_common ~graph ~explorer ~algo in
+    let n = Rv_graph.Port_graph.n gs.Spec.g in
+    let sb = if sb < 0 then (sa + (n / 2)) mod n else sb in
+    {
+      gs;
+      explorer;
+      algorithm;
+      space;
+      party_a = { R.label = la; start = sa; delay = da };
+      party_b = { R.label = lb; start = sb; delay = db };
+      model = (if parachute then Rv_sim.Sim.Parachute else Rv_sim.Sim.Waiting);
+    }
   in
   let la = Arg.(value & opt int 3 & info [ "la" ] ~doc:"Label of agent A.") in
   let lb = Arg.(value & opt int 11 & info [ "lb" ] ~doc:"Label of agent B.") in
@@ -154,63 +151,64 @@ let run_cmd =
   let sb = Arg.(value & opt int (-1) & info [ "start-b" ] ~doc:"Start node of B (default: antipode).") in
   let da = Arg.(value & opt int 0 & info [ "delay-a" ] ~doc:"Wake-up delay of A.") in
   let db = Arg.(value & opt int 0 & info [ "delay-b" ] ~doc:"Wake-up delay of B.") in
-  let trace = Arg.(value & flag & info [ "trace" ] ~doc:"Print the full round-by-round trace.") in
   let parachute =
     Arg.(value & flag & info [ "parachute" ] ~doc:"Use the parachute placement model.")
   in
-  let wrap graph explorer algo space la lb sa sb da db trace parachute =
-    let gs = or_die (Spec.parse_graph graph) in
-    let n = Rv_graph.Port_graph.n gs.Spec.g in
-    let sb = if sb < 0 then (sa + (n / 2)) mod n else sb in
-    run graph explorer algo space la lb sa sb da db trace parachute
+  Term.(
+    const make $ graph_arg $ explorer_arg $ algo_arg $ space_arg $ la $ lb $ sa $ sb $ da
+    $ db $ parachute)
+
+let simulate ?trace_cap ~record s =
+  R.run ~model:s.model ~record ?trace_cap ~g:s.gs.Spec.g ~explorer:s.explorer
+    ~algorithm:s.algorithm ~space:s.space s.party_a s.party_b
+
+let print_outcome s (out : Rv_sim.Sim.outcome) =
+  let e = Rv_experiments.Workload.e_of s.explorer in
+  let a = s.party_a and b = s.party_b in
+  Printf.printf "graph       : %s (n=%d, E=%d)\n" s.gs.Spec.spec
+    (Rv_graph.Port_graph.n s.gs.Spec.g) e;
+  Printf.printf "algorithm   : %s, label space L=%d\n" (R.name s.algorithm) s.space;
+  Printf.printf "agents      : A(label %d, start %d, delay %d)  B(label %d, start %d, delay %d)\n"
+    a.R.label a.R.start a.R.delay b.R.label b.R.start b.R.delay;
+  (match out.Rv_sim.Sim.meeting_round with
+  | Some r ->
+      Printf.printf "rendezvous  : node %d in round %d (time %d = %.2f E)\n"
+        (Option.get out.Rv_sim.Sim.meeting_node)
+        r r
+        (float_of_int r /. float_of_int e)
+  | None -> Printf.printf "rendezvous  : NOT REACHED within %d rounds\n" out.Rv_sim.Sim.rounds_run);
+  Printf.printf "cost        : %d traversals (A %d + B %d = %.2f E)\n" out.Rv_sim.Sim.cost
+    out.Rv_sim.Sim.cost_a out.Rv_sim.Sim.cost_b
+    (float_of_int out.Rv_sim.Sim.cost /. float_of_int e);
+  Printf.printf "crossings   : %d (unnoticed, per the model)\n" out.Rv_sim.Sim.crossings;
+  Printf.printf "proven      : time <= %d, cost <= %d\n"
+    (R.proven_time_bound s.algorithm ~e ~space:s.space)
+    (R.proven_cost_bound s.algorithm ~e ~space:s.space)
+
+let run_cmd =
+  let run s trace =
+    let out = simulate ~record:trace s in
+    print_outcome s out;
+    match out.Rv_sim.Sim.trace with
+    | Some t when trace -> Format.printf "%a" Rv_sim.Trace.pp t
+    | Some _ | None -> ()
   in
+  let trace = Arg.(value & flag & info [ "trace" ] ~doc:"Print the full round-by-round trace.") in
   Cmd.v
     (Cmd.info "run" ~doc:"Simulate one rendezvous execution")
-    Term.(
-      const wrap $ graph_arg $ explorer_arg $ algo_arg $ space_arg $ la $ lb $ sa $ sb $ da
-      $ db $ trace $ parachute)
-
-(* trace *)
+    Term.(const run $ scenario_term $ trace)
 
 let trace_cmd =
-  let trace graph explorer algo space la lb sa sb da db parachute trace_max_rounds
-      chrome jsonl =
-    let gs, ex, algorithm = parse_common ~graph ~explorer ~algo in
-    let model = if parachute then Rv_sim.Sim.Parachute else Rv_sim.Sim.Waiting in
-    Rv_obs.Obs.set_enabled true;
+  let trace s trace_max_rounds chrome jsonl =
     Rv_obs.Obs.set_deep true;
-    Rv_obs.Obs.reset ();
-    Rv_obs.Counter.reset ();
-    Rv_obs.Histogram.reset ();
-    let before = Rv_obs.Gc_snapshot.take () in
     (* Route the single run through the engine so the trace carries all
        three layers (engine -> sim -> explore) even without a pool. *)
-    let out =
-      (Rv_engine.Sweep.map_array 1 (fun _ ->
-           R.run ~model ~record:true ~trace_cap:trace_max_rounds ~g:gs.Spec.g
-             ~explorer:ex ~algorithm ~space
-             { R.label = la; start = sa; delay = da }
-             { R.label = lb; start = sb; delay = db })).(0)
+    let out, gc =
+      collect (fun () ->
+          (Rv_engine.Sweep.map_array 1 (fun _ ->
+               simulate ~record:true ~trace_cap:trace_max_rounds s)).(0))
     in
-    let after = Rv_obs.Gc_snapshot.take () in
-    let e = Rv_experiments.Workload.e_of ex in
-    Printf.printf "graph       : %s (n=%d, E=%d)\n" gs.Spec.spec
-      (Rv_graph.Port_graph.n gs.Spec.g) e;
-    Printf.printf "algorithm   : %s, label space L=%d\n" (R.name algorithm) space;
-    Printf.printf
-      "agents      : A(label %d, start %d, delay %d)  B(label %d, start %d, delay %d)\n"
-      la sa da lb sb db;
-    (match out.Rv_sim.Sim.meeting_round with
-    | Some r ->
-        Printf.printf "rendezvous  : node %d in round %d (time %d = %.2f E)\n"
-          (Option.get out.Rv_sim.Sim.meeting_node)
-          r r
-          (float_of_int r /. float_of_int e)
-    | None ->
-        Printf.printf "rendezvous  : NOT REACHED within %d rounds\n"
-          out.Rv_sim.Sim.rounds_run);
-    Printf.printf "cost        : %d traversals (A %d + B %d)\n" out.Rv_sim.Sim.cost
-      out.Rv_sim.Sim.cost_a out.Rv_sim.Sim.cost_b;
+    print_outcome s out;
     let events = Rv_obs.Obs.events () in
     Printf.printf "\nspan timeline (%d events):\n" (List.length events);
     Printf.printf "  %10s %10s  %-12s %s\n" "ts ms" "dur ms" "lane" "cat:name [rounds]";
@@ -247,8 +245,7 @@ let trace_cmd =
         "(%d earliest rounds evicted from the trace ring; raise --trace-max-rounds)\n"
         out.Rv_sim.Sim.trace_dropped;
     print_newline ();
-    print_string
-      (Rv_obs.Export_console.summary ~gc:(Rv_obs.Gc_snapshot.diff ~before ~after) ());
+    print_string (Rv_obs.Export_console.summary ~gc ());
     (match chrome with
     | Some path ->
         Rv_obs.Export_chrome.write_file path;
@@ -262,19 +259,6 @@ let trace_cmd =
           (fun () -> Rv_obs.Export_jsonl.write oc);
         Printf.printf "jsonl events: wrote %s\n" path
     | None -> ()
-  in
-  let la = Arg.(value & opt int 3 & info [ "la" ] ~doc:"Label of agent A.") in
-  let lb = Arg.(value & opt int 11 & info [ "lb" ] ~doc:"Label of agent B.") in
-  let sa = Arg.(value & opt int 0 & info [ "start-a" ] ~doc:"Start node of A.") in
-  let sb =
-    Arg.(
-      value & opt int (-1)
-      & info [ "start-b" ] ~doc:"Start node of B (default: antipode).")
-  in
-  let da = Arg.(value & opt int 0 & info [ "delay-a" ] ~doc:"Wake-up delay of A.") in
-  let db = Arg.(value & opt int 0 & info [ "delay-b" ] ~doc:"Wake-up delay of B.") in
-  let parachute =
-    Arg.(value & flag & info [ "parachute" ] ~doc:"Use the parachute placement model.")
   in
   let trace_max_rounds =
     Arg.(
@@ -299,18 +283,10 @@ let trace_cmd =
       & info [ "jsonl" ] ~docv:"FILE"
           ~doc:"Write the span/counter/histogram stream as JSON lines to $(docv).")
   in
-  let wrap graph explorer algo space la lb sa sb da db parachute tmr chrome jsonl =
-    let gs = or_die (Spec.parse_graph graph) in
-    let n = Rv_graph.Port_graph.n gs.Spec.g in
-    let sb = if sb < 0 then (sa + (n / 2)) mod n else sb in
-    trace graph explorer algo space la lb sa sb da db parachute tmr chrome jsonl
-  in
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Deep observability dive into one rendezvous (spans, Chrome trace)")
-    Term.(
-      const wrap $ graph_arg $ explorer_arg $ algo_arg $ space_arg $ la $ lb $ sa $ sb
-      $ da $ db $ parachute $ trace_max_rounds $ chrome $ jsonl)
+    Term.(const trace $ scenario_term $ trace_max_rounds $ chrome $ jsonl)
 
 (* sweep *)
 
@@ -326,6 +302,10 @@ let sweep_stats_report () =
     s.WS.sym_group s.WS.orbit_size s.WS.covered s.WS.simulated
     s.WS.reference_cells s.WS.traj_cells s.WS.interval_cells
     c.Rv_sim.Traj_cache.hits lookups (100. *. ratio)
+
+let reset_sweep_stats () =
+  Rv_experiments.Workload.Stats.reset ();
+  Rv_sim.Traj_cache.reset_stats ()
 
 let sweep_cmd =
   let sweep graph explorer algo space max_pairs max_delay all_pairs reference no_sym jobs
@@ -350,10 +330,7 @@ let sweep_cmd =
       match sinks with [] -> None | [ s ] -> Some s | ss -> Some (Rv_engine.Sink.tee ss)
     in
     let progress = Rv_engine.Progress.create ~total:(List.length pairs) () in
-    if stats then begin
-      Rv_experiments.Workload.Stats.reset ();
-      Rv_sim.Traj_cache.reset_stats ()
-    end;
+    if stats then reset_sweep_stats ();
     let positions = if all_pairs then `All_pairs else `Fixed_first in
     let outcome =
       with_metrics metrics (fun () ->
@@ -369,31 +346,21 @@ let sweep_cmd =
       Printf.eprintf "rv: sweep: %s\n%!" (Rv_engine.Progress.report progress);
       Printf.eprintf "rv: sweep: %s\n%!" (sweep_stats_report ())
     end;
-    match outcome with
-    | Error msg ->
-        prerr_endline ("rv: rendezvous failure during sweep: " ^ msg);
-        exit 1
-    | Ok (t, c) ->
-        Table.print
-          (Table.make
-             ~title:(Printf.sprintf "worst case over %d label pairs" (List.length pairs))
-             ~headers:[ "metric"; "measured"; "proven bound"; "ratio" ]
-             [
-               [
-                 "time";
-                 string_of_int t;
-                 string_of_int (R.proven_time_bound algorithm ~e ~space);
-                 Table.cell_ratio (float_of_int t)
-                   (float_of_int (R.proven_time_bound algorithm ~e ~space));
-               ];
-               [
-                 "cost";
-                 string_of_int c;
-                 string_of_int (R.proven_cost_bound algorithm ~e ~space);
-                 Table.cell_ratio (float_of_int c)
-                   (float_of_int (R.proven_cost_bound algorithm ~e ~space));
-               ];
-             ])
+    let t, c =
+      or_die (Result.map_error (( ^ ) "rendezvous failure during sweep: ") outcome)
+    in
+    let row metric measured bound =
+      [ metric; string_of_int measured; string_of_int bound;
+        Table.cell_ratio (float_of_int measured) (float_of_int bound) ]
+    in
+    Table.print
+      (Table.make
+         ~title:(Printf.sprintf "worst case over %d label pairs" (List.length pairs))
+         ~headers:[ "metric"; "measured"; "proven bound"; "ratio" ]
+         [
+           row "time" t (R.proven_time_bound algorithm ~e ~space);
+           row "cost" c (R.proven_cost_bound algorithm ~e ~space);
+         ])
   in
   let max_pairs =
     Arg.(value & opt int 8 & info [ "pairs" ] ~doc:"Maximum number of label pairs to sweep.")
@@ -465,16 +432,9 @@ let explore_cmd =
     let ex = or_die (Spec.parse_explorer gs explorer) in
     let g = gs.Spec.g in
     let declared = Rv_experiments.Workload.e_of ex in
-    (match Rv_explore.Bounds.verify g ~make:ex with
-    | Ok () -> ()
-    | Error msg ->
-        prerr_endline ("rv: exploration contract violated: " ^ msg);
-        exit 1);
-    (match Rv_explore.Bounds.verify_repeated g ~make:ex ~executions:3 with
-    | Ok () -> ()
-    | Error msg ->
-        prerr_endline ("rv: repeated-execution contract violated: " ^ msg);
-        exit 1);
+    let check what r = or_die (Result.map_error (( ^ ) (what ^ " contract violated: ")) r) in
+    check "exploration" (Rv_explore.Bounds.verify g ~make:ex);
+    check "repeated-execution" (Rv_explore.Bounds.verify_repeated g ~make:ex ~executions:3);
     let worst = or_die (Rv_explore.Bounds.worst g ~make:ex) in
     Printf.printf "graph          : %s (n=%d, e=%d edges)\n" gs.Spec.spec
       (Rv_graph.Port_graph.n g) (Rv_graph.Port_graph.num_edges g);
@@ -505,52 +465,44 @@ let lb_cmd =
           | Some v -> v
           | None -> Rv_lowerbound.Theorem_cheap.cheap_sim_vectors ~n ~space
         in
-        match Rv_lowerbound.Theorem_cheap.analyze ~n ~vectors with
-        | Error msg ->
-            prerr_endline ("rv: " ^ msg);
-            exit 1
-        | Ok r ->
-            Printf.printf
-              "Theorem 3.1 pipeline on cheap-sim (n=%d, L=%d):\n\
-              \  phi (cost slack)      : %d\n\
-              \  Fact 3.5 violations   : %d\n\
-              \  chain length          : %d\n\
-              \  strictly increasing   : %b\n\
-              \  slope (rounds/step)   : %.1f (predicted >= %.1f)\n\
-              \  last |alpha|          : %d rounds (Omega(EL) expected)\n"
-              n space r.Rv_lowerbound.Theorem_cheap.phi r.fact_3_5_violations
-              (List.length r.chain) r.chain_monotone r.slope r.predicted_slope
-              r.last_duration;
-            List.iter
-              (fun (s : Rv_lowerbound.Tournament.chain_step) ->
-                Printf.printf "    alpha_%d: labels (%d,%d) meet at round %d\n" s.index
-                  s.first s.second s.duration)
-              r.chain)
+        let r = or_die (Rv_lowerbound.Theorem_cheap.analyze ~n ~vectors) in
+        Printf.printf
+          "Theorem 3.1 pipeline on cheap-sim (n=%d, L=%d):\n\
+          \  phi (cost slack)      : %d\n\
+          \  Fact 3.5 violations   : %d\n\
+          \  chain length          : %d\n\
+          \  strictly increasing   : %b\n\
+          \  slope (rounds/step)   : %.1f (predicted >= %.1f)\n\
+          \  last |alpha|          : %d rounds (Omega(EL) expected)\n"
+          n space r.Rv_lowerbound.Theorem_cheap.phi r.fact_3_5_violations
+          (List.length r.chain) r.chain_monotone r.slope r.predicted_slope
+          r.last_duration;
+        List.iter
+          (fun (s : Rv_lowerbound.Tournament.chain_step) ->
+            Printf.printf "    alpha_%d: labels (%d,%d) meet at round %d\n" s.index
+              s.first s.second s.duration)
+          r.chain)
     | "fast" -> (
         let vectors =
           match vectors with
           | Some v -> v
           | None -> Rv_lowerbound.Theorem_cheap.fast_sim_vectors ~n ~space
         in
-        match Rv_lowerbound.Theorem_fast.analyze ~n ~vectors with
-        | Error msg ->
-            prerr_endline ("rv: " ^ msg);
-            exit 1
-        | Ok r ->
+        let r = or_die (Rv_lowerbound.Theorem_fast.analyze ~n ~vectors) in
+        Printf.printf
+          "Theorem 3.2 pipeline on fast-sim (n=%d, L=%d):\n\
+          \  largest pigeonhole group : block %d (%d agents)\n\
+          \  progress vectors distinct: %b\n\
+          \  max non-zero entries     : %d\n\
+          \  implied cost (k*E/6)     : %d\n" n space
+          r.Rv_lowerbound.Theorem_fast.group_block (List.length r.group)
+          r.distinct_progress r.max_nonzero r.min_implied_cost_of_max;
+        List.iter
+          (fun (a : Rv_lowerbound.Theorem_fast.agent_report) ->
             Printf.printf
-              "Theorem 3.2 pipeline on fast-sim (n=%d, L=%d):\n\
-              \  largest pigeonhole group : block %d (%d agents)\n\
-              \  progress vectors distinct: %b\n\
-              \  max non-zero entries     : %d\n\
-              \  implied cost (k*E/6)     : %d\n" n space
-              r.Rv_lowerbound.Theorem_fast.group_block (List.length r.group)
-              r.distinct_progress r.max_nonzero r.min_implied_cost_of_max;
-            List.iter
-              (fun (a : Rv_lowerbound.Theorem_fast.agent_report) ->
-                Printf.printf
-                  "    label %3d: m_x=%5d block=%3d nonzero=%3d implied>=%4d solo cost=%5d\n"
-                  a.label a.m_x a.block a.nonzero a.implied_cost a.solo_cost)
-              r.agents)
+              "    label %3d: m_x=%5d block=%3d nonzero=%3d implied>=%4d solo cost=%5d\n"
+              a.label a.m_x a.block a.nonzero a.implied_cost a.solo_cost)
+          r.agents)
     | other ->
         prerr_endline ("rv: unknown pipeline " ^ other ^ " (use cheap | fast)");
         exit 1
@@ -575,10 +527,7 @@ let exp_cmd =
     let emit t =
       if markdown then print_string (Table.render_markdown t ^ "\n") else Table.print t
     in
-    if stats then begin
-      Rv_experiments.Workload.Stats.reset ();
-      Rv_sim.Traj_cache.reset_stats ()
-    end;
+    if stats then reset_sweep_stats ();
     (with_metrics metrics @@ fun () ->
      with_pool jobs (fun pool ->
          if all then List.iter (fun (_, t) -> emit t) (Rv_experiments.Report.all ?pool ())
@@ -782,106 +731,6 @@ let gather_cmd =
     (Cmd.info "gather" ~doc:"Gather k agents with merge-on-meet cheap-sim schedules")
     Term.(const gather $ graph_arg $ explorer_arg $ count)
 
-(* lint *)
-
-let lint_cmd =
-  let lint paths json rules catalog scope no_typed build_dir hotpaths baseline
-      write_baseline sarif =
-    if catalog then begin
-      print_string (Rv_lint.Cli.catalog ());
-      exit 0
-    end;
-    exit
-      (Rv_lint.Cli.run ~scope ~typed:(not no_typed) ~build_dir ~hotpaths
-         ~baseline ~write_baseline ~sarif ~json ~rules ~paths ())
-  in
-  let paths =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"PATH"
-          ~doc:
-            "Files or directories to lint (default: the roots selected by \
-             $(b,--scope)).")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the machine-readable JSON report on stdout.")
-  in
-  let rules =
-    Arg.(
-      value
-      & opt ~vopt:(Some "list") (some string) None
-      & info [ "rules" ] ~docv:"R1,R2,..."
-          ~doc:
-            "Comma-separated subset of rules to run (default: all of R1..R9). \
-             With no value, list the full catalog and exit.")
-  in
-  let catalog =
-    Arg.(
-      value & flag
-      & info [ "catalog" ] ~doc:"Print the rule catalog with rationale and exit.")
-  in
-  let scope =
-    Arg.(
-      value & opt string "full"
-      & info [ "scope" ] ~docv:"full|core"
-          ~doc:
-            "Default path set when no PATH is given: $(b,full) = lib bin \
-             bench test examples; $(b,core) = lib bin bench (the pre-v2 \
-             walk).")
-  in
-  let no_typed =
-    Arg.(
-      value & flag
-      & info [ "no-typed" ]
-          ~doc:"Skip the typed pass (R6..R9); run only the source pass.")
-  in
-  let build_dir =
-    Arg.(
-      value & opt (some string) None
-      & info [ "build-dir" ] ~docv:"DIR"
-          ~doc:
-            "Directory holding dune's .cmt artifacts for the typed pass \
-             (default: _build/default).")
-  in
-  let hotpaths =
-    Arg.(
-      value & opt (some string) None
-      & info [ "hotpaths" ] ~docv:"FILE"
-          ~doc:
-            "Hot-path manifest for R8/dispatcher-R7 (default: \
-             lint_hotpaths.txt when present).")
-  in
-  let baseline =
-    Arg.(
-      value & opt (some string) None
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:
-            "Diff mode: fail only on findings not in this checked-in \
-             baseline.")
-  in
-  let write_baseline =
-    Arg.(
-      value & opt (some string) None
-      & info [ "write-baseline" ] ~docv:"FILE"
-          ~doc:"Write the current findings as a fresh baseline and exit 0.")
-  in
-  let sarif =
-    Arg.(
-      value & opt (some string) None
-      & info [ "sarif" ] ~docv:"FILE"
-          ~doc:
-            "Additionally write the full (pre-baseline) report as SARIF \
-             2.1.0 to FILE.")
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:"Static determinism & concurrency checks (same engine as rv_lint)")
-    Term.(
-      const lint $ paths $ json $ rules $ catalog $ scope $ no_typed $ build_dir
-      $ hotpaths $ baseline $ write_baseline $ sarif)
-
 (* dot *)
 
 let dot_cmd =
@@ -998,11 +847,16 @@ let port_arg =
     value & opt int 7421
     & info [ "p"; "port" ] ~docv:"PORT" ~doc:"TCP port to listen on (0 = ephemeral).")
 
+let host_arg =
+  Arg.(
+    value & opt string "127.0.0.1"
+    & info [ "host" ] ~docv:"HOST" ~doc:"Server address.")
+
 let serve_cmd =
-  let serve port jobs cache_mb queue_cap deadline_ms index index_backfill
-      no_telemetry slow_us metrics =
+  let serve port jobs cache_mb queue_cap deadline_ms index index_backfill slow_us
+      metrics =
     with_metrics metrics @@ fun () ->
-    let jobs = if jobs > 0 then jobs else Domain.recommended_domain_count () in
+    let jobs = resolve_jobs jobs in
     let server =
       Rv_serve.Server.start
         {
@@ -1014,7 +868,6 @@ let serve_cmd =
           default_deadline_ms = (if deadline_ms > 0 then Some deadline_ms else None);
           index_path = index;
           index_backfill;
-          telemetry = not no_telemetry;
           slow_us;
         }
     in
@@ -1032,14 +885,16 @@ let serve_cmd =
     Rv_serve.Server.join server;
     Printf.printf "rv serve: drained\n%!"
   in
+  let default = Rv_serve.Server.default_config in
   let cache_mb =
     Arg.(
-      value & opt int 8
+      value
+      & opt int (default.cache_bytes / (1024 * 1024))
       & info [ "cache-mb" ] ~docv:"MB" ~doc:"Result cache budget in MiB (0 disables).")
   in
   let queue_cap =
     Arg.(
-      value & opt int 64
+      value & opt int default.queue_cap
       & info [ "queue" ] ~docv:"N"
           ~doc:"Admission queue bound; a full queue answers overloaded immediately.")
   in
@@ -1067,18 +922,9 @@ let serve_cmd =
             "Accumulate computed index misses and periodically republish \
              --index as the next generation (requires --index).")
   in
-  let no_telemetry =
-    Arg.(
-      value & flag
-      & info [ "no-telemetry" ]
-          ~doc:
-            "Disable the always-on serving telemetry (sliding latency \
-             windows, flight recorder).  Reply bytes are identical either \
-             way; this exists for overhead measurement.")
-  in
   let slow_us =
     Arg.(
-      value & opt int 10_000
+      value & opt int default.slow_us
       & info [ "slow-us" ] ~docv:"US"
           ~doc:
             "Flag requests slower than this as slow in the flight recorder \
@@ -1093,7 +939,7 @@ let serve_cmd =
           graceful drain")
     Term.(
       const serve $ port_arg $ jobs_arg $ cache_mb $ queue_cap $ deadline_ms
-      $ index $ index_backfill $ no_telemetry $ slow_us $ metrics_arg)
+      $ index $ index_backfill $ slow_us $ metrics_arg)
 
 (* loadgen *)
 
@@ -1167,11 +1013,6 @@ let loadgen_cmd =
    (the default), so `rv chaos` and `rv fuzz` work standalone in CI; a
    nonzero --port targets an externally started rv serve instead. *)
 
-let chaos_host_arg =
-  Arg.(
-    value & opt string "127.0.0.1"
-    & info [ "host" ] ~docv:"HOST" ~doc:"Server address.")
-
 let chaos_port_arg =
   Arg.(
     value & opt int 0
@@ -1189,15 +1030,23 @@ let chaos_seed_arg =
 let with_chaos_server ~port ~queue ~jobs f =
   if port <> 0 then f port
   else begin
-    let jobs = if jobs > 0 then jobs else 1 in
     let server =
       Rv_serve.Server.start
-        { Rv_serve.Server.default_config with port = 0; jobs; queue_cap = queue }
+        { Rv_serve.Server.default_config with
+          port = 0; jobs = resolve_jobs jobs; queue_cap = queue }
     in
     Fun.protect
       ~finally:(fun () -> Rv_serve.Server.stop server)
       (fun () -> f (Rv_serve.Server.port server))
   end
+
+let chaos_jobs_arg =
+  Arg.(
+    value & opt int 1
+    & info [ "j"; "jobs" ] ~docv:"N"
+        ~doc:
+          "Worker domains for the spawned in-process server (0 = auto: the \
+           hardware's recommended domain count).")
 
 let chaos_queue_arg =
   Arg.(
@@ -1287,8 +1136,8 @@ let chaos_cmd =
          "Run the fault-injection scenario catalog (or --soak) against an \
           rv serve instance and assert the serving contract")
     Term.(
-      const chaos $ chaos_port_arg $ chaos_host_arg $ chaos_seed_arg $ only
-      $ soak $ sample_period $ drift_frac $ out $ chaos_queue_arg $ jobs_arg)
+      const chaos $ chaos_port_arg $ host_arg $ chaos_seed_arg $ only
+      $ soak $ sample_period $ drift_frac $ out $ chaos_queue_arg $ chaos_jobs_arg)
 
 let fuzz_cmd =
   let fuzz port seed cells budget plant checks fixture_dir repro no_serve queue
@@ -1416,7 +1265,7 @@ let fuzz_cmd =
           reproducer fixtures")
     Term.(
       const fuzz $ chaos_port_arg $ chaos_seed_arg $ cells $ budget $ plant
-      $ checks $ fixture_dir $ repro $ no_serve $ chaos_queue_arg $ jobs_arg)
+      $ checks $ fixture_dir $ repro $ no_serve $ chaos_queue_arg $ chaos_jobs_arg)
 
 (* obs — flight-recorder client *)
 
@@ -1508,11 +1357,6 @@ let obs_cmd =
              and prints new ones as they appear; $(b,dump) emits records as \
              JSON lines, or a Chrome trace with $(b,--chrome).")
   in
-  let host =
-    Arg.(
-      value & opt string "127.0.0.1"
-      & info [ "host" ] ~docv:"HOST" ~doc:"Server host.")
-  in
   let last =
     Arg.(
       value & opt int 64
@@ -1540,7 +1384,7 @@ let obs_cmd =
          "Inspect a running rv serve's anomaly flight recorder: tail or \
           watch the retained requests, or dump them as a Chrome trace of \
           per-stage waterfalls")
-    Term.(const obs $ action $ host $ port_arg $ last $ chrome $ interval)
+    Term.(const obs $ action $ host_arg $ port_arg $ last $ chrome $ interval)
 
 (* version *)
 
@@ -1575,11 +1419,6 @@ let version_cmd =
     Term.(const version $ json)
 
 let () =
-  (* RV_DEBUG=1 surfaces per-meeting simulator events on stderr. *)
-  if Sys.getenv_opt "RV_DEBUG" <> None then begin
-    Logs.set_reporter (Logs_fmt.reporter ());
-    Logs.set_level (Some Logs.Debug)
-  end;
   let doc = "deterministic rendezvous in networks (Miller & Pelc, PODC 2014)" in
   let info = Cmd.info "rv" ~version:Rv_serve.Build_meta.version ~doc in
-  exit (Cmd.eval (Cmd.group info [ run_cmd; trace_cmd; sweep_cmd; explore_cmd; lb_cmd; exp_cmd; selftest_cmd; async_cmd; gather_cmd; lint_cmd; dot_cmd; bake_cmd; serve_cmd; loadgen_cmd; chaos_cmd; fuzz_cmd; obs_cmd; version_cmd ]))
+  exit (Cmd.eval (Cmd.group info [ run_cmd; trace_cmd; sweep_cmd; explore_cmd; lb_cmd; exp_cmd; selftest_cmd; async_cmd; gather_cmd; dot_cmd; bake_cmd; serve_cmd; loadgen_cmd; chaos_cmd; fuzz_cmd; obs_cmd; version_cmd ]))

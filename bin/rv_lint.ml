@@ -1,7 +1,7 @@
 (* rv_lint — standalone determinism & concurrency linter.
 
-   Same engine as `rv lint`; shipped as its own binary so CI and editors
-   can run the gate without linking the whole simulator. *)
+   The one front end to lib/lint; shipped as its own binary so CI and
+   editors can run the gate without linking the whole simulator. *)
 
 open Cmdliner
 

@@ -1,7 +1,6 @@
-(* Shared command-line behaviour for bin/rv_lint.ml and `rv lint`.
-
-   Kept here (and free of cmdliner) so both binaries print identical
-   reports and agree on exit codes: 0 clean, 1 findings, 2 usage error. *)
+(* Command-line behaviour behind bin/rv_lint.ml, kept free of cmdliner:
+   the binary parses flags, this module prints the report and picks the
+   exit code: 0 clean, 1 findings, 2 usage error. *)
 
 module Json = Rv_obs.Json
 

@@ -1,4 +1,4 @@
-(** Shared command-line behaviour for [bin/rv_lint.ml] and [rv lint]. *)
+(** Command-line behaviour behind [bin/rv_lint.ml]. *)
 
 val default_paths : string list
 (** [lib; bin; bench; test; examples] — the full gated scope. *)

@@ -1,10 +1,6 @@
 module Pg = Rv_graph.Port_graph
 module Ex = Rv_explore.Explorer
 
-let src = Logs.Src.create "rv.sim" ~doc:"Rendezvous simulator events"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type model = Waiting | Parachute
 
 type agent = { start : int; delay : int; step : Ex.instance }
@@ -119,9 +115,6 @@ let run ?(model = Waiting) ?(record = false) ?(trace_cap = default_trace_cap) ~g
        if wa.pos = wb.pos && present model wa r && present model wb r then begin
          meeting_round := Some (r + skip);
          meeting_node := Some wa.pos;
-         Log.debug (fun m ->
-             m "rendezvous at node %d in round %d (cost %d+%d)" wa.pos (r + skip) wa.moves
-               wb.moves);
          if deep then
            Rv_obs.Obs.instant ~cat:"sim"
              ~args:[ ("node", Rv_obs.Json.Int wa.pos); ("cost", Rv_obs.Json.Int (wa.moves + wb.moves)) ]
