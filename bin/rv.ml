@@ -1024,29 +1024,21 @@ let chaos_port_arg =
 let chaos_seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Scenario/cell seed.")
 
-(* Spawn the in-process target when [port = 0]; the returned finalizer
+(* Spawn the in-process target (one worker domain, as in
+   [Server.default_config]) when [port = 0]; the returned finalizer
    drains it.  The queue is kept small so the storm scenario's burst
    (2 x cap + 4) stays cheap. *)
-let with_chaos_server ~port ~queue ~jobs f =
+let with_chaos_server ~port ~queue f =
   if port <> 0 then f port
   else begin
     let server =
       Rv_serve.Server.start
-        { Rv_serve.Server.default_config with
-          port = 0; jobs = resolve_jobs jobs; queue_cap = queue }
+        { Rv_serve.Server.default_config with port = 0; queue_cap = queue }
     in
     Fun.protect
       ~finally:(fun () -> Rv_serve.Server.stop server)
       (fun () -> f (Rv_serve.Server.port server))
   end
-
-let chaos_jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains for the spawned in-process server (0 = auto: the \
-           hardware's recommended domain count).")
 
 let chaos_queue_arg =
   Arg.(
@@ -1055,8 +1047,8 @@ let chaos_queue_arg =
         ~doc:"Admission-queue bound for the spawned in-process server.")
 
 let chaos_cmd =
-  let chaos port host seed only soak sample_period drift_frac out queue jobs =
-    with_chaos_server ~port ~queue ~jobs @@ fun port ->
+  let chaos port host seed only soak sample_period drift_frac out queue =
+    with_chaos_server ~port ~queue @@ fun port ->
     match soak with
     | Some duration_s ->
         let r =
@@ -1137,11 +1129,11 @@ let chaos_cmd =
           rv serve instance and assert the serving contract")
     Term.(
       const chaos $ chaos_port_arg $ host_arg $ chaos_seed_arg $ only
-      $ soak $ sample_period $ drift_frac $ out $ chaos_queue_arg $ chaos_jobs_arg)
+      $ soak $ sample_period $ drift_frac $ out $ chaos_queue_arg)
 
 let fuzz_cmd =
-  let fuzz port seed cells budget plant checks fixture_dir repro no_serve queue
-      jobs =
+  let fuzz port seed cells budget plant checks fixture_dir repro no_serve
+      queue =
     let checks =
       match checks with
       | [] -> Rv_chaos.Fuzz.all_checks
@@ -1151,7 +1143,7 @@ let fuzz_cmd =
       Rv_chaos.Fuzz.set_planted_fault (Some Rv_chaos.Fuzz.planted_default);
     let with_server f =
       if no_serve then f None
-      else with_chaos_server ~port ~queue ~jobs (fun p -> f (Some p))
+      else with_chaos_server ~port ~queue (fun p -> f (Some p))
     in
     with_server @@ fun serve_port ->
     match repro with
@@ -1265,7 +1257,7 @@ let fuzz_cmd =
           reproducer fixtures")
     Term.(
       const fuzz $ chaos_port_arg $ chaos_seed_arg $ cells $ budget $ plant
-      $ checks $ fixture_dir $ repro $ no_serve $ chaos_queue_arg $ chaos_jobs_arg)
+      $ checks $ fixture_dir $ repro $ no_serve $ chaos_queue_arg)
 
 (* obs — flight-recorder client *)
 

@@ -4,7 +4,9 @@
 # for each, the command line, its combined stdout/stderr and its exit
 # status.  The runtest rule in test/dune diffs this transcript against
 # golden/cli.golden, so any change to what these commands print or how
-# they exit shows up as a diff.
+# they exit shows up as a diff.  The two `sweep` lines overlap CI's
+# "Smoke-test the multicore sweep engine" step, which cmp's the same
+# -j 1 and -j 2 tables against each other.
 rv=$1
 while read -r args; do
   echo "\$ rv $args"
