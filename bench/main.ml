@@ -121,12 +121,10 @@ let sweep_speedup () =
   let multicore_skipped = cores <= 1 in
   let jobs_list = if multicore_skipped then [ 1 ] else [ 1; 2; 4; 8 ] in
   W.Stats.reset ();
-  Rv_sim.Traj_cache.reset_stats ();
   let first_run = (List.hd jobs_list, timed (List.hd jobs_list)) in
   (* Snapshot after exactly one sweep so the JSON reports per-sweep
      counts, not counts accumulated over every pool size. *)
   let stats = W.Stats.snapshot () in
-  let cache = Rv_sim.Traj_cache.stats () in
   let runs =
     first_run :: List.map (fun jobs -> (jobs, timed jobs)) (List.tl jobs_list)
   in
@@ -203,8 +201,8 @@ let sweep_speedup () =
     "cells_reference": %d,
     "cells_traj": %d,
     "cells_intervals": %d,
-    "cache_hits": %d,
-    "cache_misses": %d,
+    "traj_built": %d,
+    "images_certified": %d,
     "worst_identical_vs_unreduced": true,
     "unreduced_seconds": %.4f
   },
@@ -220,8 +218,8 @@ let sweep_speedup () =
     (float_of_int representatives /. float_of_int position_pairs)
     (representatives * 4 <= position_pairs)
     stats.W.Stats.covered stats.W.Stats.simulated stats.W.Stats.reference_cells
-    stats.W.Stats.traj_cells stats.W.Stats.interval_cells cache.Rv_sim.Traj_cache.hits
-    cache.Rv_sim.Traj_cache.misses unreduced_seconds
+    stats.W.Stats.traj_cells stats.W.Stats.interval_cells stats.W.Stats.traj_built
+    stats.W.Stats.images_certified unreduced_seconds
     cores cores multicore_skipped
     worst_t worst_c
     (String.concat ", "

@@ -290,18 +290,29 @@ let trace_cmd =
 
 (* sweep *)
 
+(* A reduced sweep reads every walk from symmetry certification, so it
+   reports that instead of the cache the unreduced path uses. *)
 let sweep_stats_report () =
   let s = Rv_experiments.Workload.Stats.snapshot () in
-  let c = Rv_sim.Traj_cache.stats () in
   let module WS = Rv_experiments.Workload.Stats in
-  let lookups = c.Rv_sim.Traj_cache.hits + c.Rv_sim.Traj_cache.misses in
-  let ratio = if lookups = 0 then 0. else float_of_int c.Rv_sim.Traj_cache.hits /. float_of_int lookups in
+  let trajectories =
+    if s.WS.orbit_size > 1 then
+      Printf.sprintf "traj %d built, %d images certified" s.WS.traj_built
+        s.WS.images_certified
+    else
+      let c = Rv_sim.Traj_cache.stats () in
+      let lookups = c.Rv_sim.Traj_cache.hits + c.Rv_sim.Traj_cache.misses in
+      let ratio =
+        if lookups = 0 then 0. else float_of_int c.Rv_sim.Traj_cache.hits /. float_of_int lookups
+      in
+      Printf.sprintf "traj cache %d/%d hits (%.0f%%)" c.Rv_sim.Traj_cache.hits lookups
+        (100. *. ratio)
+  in
   Printf.sprintf
     "symmetry %s (x%d coverage), %d configs covered / %d simulated \
-     (reference %d, traj %d, interval %d); traj cache %d/%d hits (%.0f%%)"
+     (reference %d, traj %d, interval %d); %s"
     s.WS.sym_group s.WS.orbit_size s.WS.covered s.WS.simulated
-    s.WS.reference_cells s.WS.traj_cells s.WS.interval_cells
-    c.Rv_sim.Traj_cache.hits lookups (100. *. ratio)
+    s.WS.reference_cells s.WS.traj_cells s.WS.interval_cells trajectories
 
 let reset_sweep_stats () =
   Rv_experiments.Workload.Stats.reset ();
@@ -416,7 +427,9 @@ let sweep_cmd =
           ~doc:
             "Print sweep counters to stderr: tasks and worst-so-far, plus the \
              symmetry coverage multiplier, per-kernel cell counts (reference \
-             / trajectory / interval) and the trajectory-cache hit ratio.")
+             / trajectory / interval), and the trajectories built and images \
+             certified by a symmetry-reduced sweep or else the \
+             trajectory-cache hit ratio.")
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Worst-case time/cost over starts, delays and labels")
@@ -559,8 +572,9 @@ let exp_cmd =
           ~doc:
             "Print sweep kernel counters to stderr after the tables: per-path \
              cell counts (reference / trajectory / interval), the symmetry \
-             coverage multiplier and the trajectory-cache hit ratio, summed \
-             over every sweep the selected experiments ran.")
+             coverage multiplier, and the trajectories built and images \
+             certified by symmetry-reduced sweeps or else the trajectory-cache \
+             hit ratio, summed over every sweep the selected experiments ran.")
   in
   Cmd.v (Cmd.info "exp" ~doc:"Print experiment tables from the DESIGN.md index")
     Term.(const exp $ ids $ all $ markdown $ stats $ jobs_arg $ metrics_arg)

@@ -109,6 +109,8 @@ module Stats = struct
     interval_cells : int;
     sym_group : string;
     orbit_size : int;
+    traj_built : int;
+    images_certified : int;
   }
 
   let covered = Atomic.make 0
@@ -123,6 +125,10 @@ module Stats = struct
 
   let orbit = Atomic.make 1
 
+  let traj_built = Atomic.make 0
+
+  let images_certified = Atomic.make 0
+
   let snapshot () =
     let reference_cells = Atomic.get reference_cells in
     let traj_cells = Atomic.get traj_cells in
@@ -135,6 +141,8 @@ module Stats = struct
       interval_cells;
       sym_group = Atomic.get sym_group;
       orbit_size = Atomic.get orbit;
+      traj_built = Atomic.get traj_built;
+      images_certified = Atomic.get images_certified;
     }
 
   let reset () =
@@ -143,7 +151,9 @@ module Stats = struct
     Atomic.set traj_cells 0;
     Atomic.set interval_cells 0;
     Atomic.set sym_group "off";
-    Atomic.set orbit 1
+    Atomic.set orbit 1;
+    Atomic.set traj_built 0;
+    Atomic.set images_certified 0
 end
 
 (* Per-task cell counts, flushed to the process-wide atomics once per
@@ -154,23 +164,6 @@ let flush_tally t =
   if t.ref_c > 0 then ignore (Atomic.fetch_and_add Stats.reference_cells t.ref_c);
   if t.traj_c > 0 then ignore (Atomic.fetch_and_add Stats.traj_cells t.traj_c);
   if t.intv_c > 0 then ignore (Atomic.fetch_and_add Stats.interval_cells t.intv_c)
-
-(* Walk-family equivariance: two trajectories of the same label from
-   automorphism-related starts are images of each other iff they take
-   the same port sequence (by induction, port preservation then forces
-   [pos'(r) = phi (pos r)] — see DESIGN.md §3.6).  Integer arrays, no
-   polymorphic compare. *)
-let same_ports (t0 : Rv_sim.Traj.t) (t1 : Rv_sim.Traj.t) =
-  t0.Rv_sim.Traj.rounds = t1.Rv_sim.Traj.rounds
-  && t0.Rv_sim.Traj.first_move = t1.Rv_sim.Traj.first_move
-  &&
-  let ok = ref true and r = ref 0 in
-  let p0 = t0.Rv_sim.Traj.port and p1 = t1.Rv_sim.Traj.port in
-  while !ok && !r <= t0.Rv_sim.Traj.rounds do
-    if Array.unsafe_get p0 !r <> Array.unsafe_get p1 !r then ok := false;
-    incr r
-  done;
-  !ok
 
 let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
     ?graph_spec ~g ~algorithm ~space ~explorer ~pairs ~positions ~delays () =
@@ -197,27 +190,35 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
     (match dispatch with `Reference -> false | `Fast | `Auto -> true)
     && not (Rv_obs.Obs.deep ())
   in
-  let build_traj ~label ~start =
-    let ex = explorer ~start in
-    let sched = R.schedule algorithm ~space ~label ~explorer:ex in
-    Rv_sim.Traj.of_blocks ~g ~start
-      (List.map
-         (function
-           | Rv_core.Schedule.Pause k -> Rv_sim.Traj.Still k
-           | Rv_core.Schedule.Explore e ->
-               Rv_sim.Traj.Run
-                 (e.Rv_explore.Explorer.fresh (), e.Rv_explore.Explorer.bound))
-         sched)
+  let blocks_of ~label ~start =
+    let sched = R.schedule algorithm ~space ~label ~explorer:(explorer ~start) in
+    List.map
+      (function
+        | Rv_core.Schedule.Pause k -> Rv_sim.Traj.Still k
+        | Rv_core.Schedule.Explore e ->
+            Rv_sim.Traj.Run (e.Rv_explore.Explorer.fresh (), e.Rv_explore.Explorer.bound))
+      sched
   in
+  let build_traj ~label ~start = Rv_sim.Traj.of_blocks ~g ~start (blocks_of ~label ~start) in
   (* --- symmetry reduction ---------------------------------------------
      Only the full ordered-pair space can be quotiented (Fixed_first is
      already a rotation transversal; explicit pair lists carry caller
      intent).  The group is detected from scratch with checked witnesses
      (Rv_graph.Symmetry), and the walk family is then certified
-     equivariant label by label — an explorer like a global Hamiltonian
-     walk follows node identities, not observations, and silently breaks
-     orbit invariance, so certification failure falls back to the
-     unreduced sweep rather than trusting the graph alone. *)
+     equivariant — an explorer like a global Hamiltonian walk follows
+     node identities, not observations, and silently breaks orbit
+     invariance, so certification failure falls back to the unreduced
+     sweep rather than trusting the graph alone.
+
+     Certification is the only place the reduced sweep builds
+     trajectories: each label's start-0 walk, one pool task per label,
+     then one pool task per (label, automorphism phi <> id) that steps
+     the walk from phi(0) against phi applied to the start-0 walk
+     (Traj.is_image: the same rounds, first move and port, and position
+     phi(pos0 r), in every round).  A certified family's walk from any
+     start c is then phi_c of its start-0 walk, which the sweep derives
+     (Traj.image) instead of building, so it holds O(labels x rounds)
+     of trajectories, not O(labels x n x rounds). *)
   let sym_wanted =
     sym
     && (match positions with `All_pairs -> true | `Fixed_first | `Pairs _ -> false)
@@ -234,26 +235,28 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
       end
       else begin
         let labels =
-          List.sort_uniq Int.compare (List.concat_map (fun (a, b) -> [ a; b ]) pairs)
+          Array.of_list
+            (List.sort_uniq Int.compare (List.concat_map (fun (a, b) -> [ a; b ]) pairs))
         in
         let autos = Sym.automorphisms s in
-        let certified =
-          List.for_all
-            (fun label ->
-              let t0 = build_traj ~label ~start:0 in
-              let ok = ref true and i = ref 1 in
-              while !ok && !i < Array.length autos do
-                if not (same_ports t0 (build_traj ~label ~start:autos.(!i).(0))) then
-                  ok := false;
-                incr i
-              done;
-              !ok)
-            labels
+        let walks =
+          Engine_sweep.map_array ?pool (Array.length labels) (fun i ->
+              build_traj ~label:labels.(i) ~start:0)
         in
-        if certified then begin
+        ignore (Atomic.fetch_and_add Stats.traj_built (Array.length labels));
+        let k = Array.length autos - 1 in
+        let verdicts =
+          Engine_sweep.map_array ?pool (Array.length labels * k) (fun j ->
+              let i = j / k and phi = autos.((j mod k) + 1) in
+              Rv_sim.Traj.is_image ~g ~phi walks.(i)
+                (blocks_of ~label:labels.(i) ~start:phi.(0)))
+        in
+        let passed = Array.fold_left (fun acc ok -> if ok then acc + 1 else acc) 0 verdicts in
+        ignore (Atomic.fetch_and_add Stats.images_certified passed);
+        if passed = Array.length verdicts then begin
           Atomic.set Stats.sym_group (Sym.group_name s);
           Atomic.set Stats.orbit (Sym.orbit_size s);
-          Some s
+          Some (s, labels, walks)
         end
         else begin
           Atomic.set Stats.sym_group (Sym.group_name s ^ "/uncertified");
@@ -357,15 +360,12 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
         if ba <> bb then
           invalid_arg "Rendezvous.run: the two agents' explorers declare different bounds E")
       expand;
-  let cache =
-    if not use_fast then None
-    else Some (Rv_sim.Traj_cache.create ~build:build_traj ())
-  in
   (* Simulate one configuration; returns the outcome fields the sweep
-     consumes.  All paths agree exactly (property-tested in
+     consumes.  [trajs ()] supplies the two walks when the trajectory
+     path runs.  All paths agree exactly (property-tested in
      test/test_traj.ml for both models, re-asserted at bench time and by
      CI's [rv sweep --reference] / [--no-sym] byte comparisons). *)
-  let simulate tally ~la ~lb ~pa ~pb ~da ~db =
+  let simulate tally ~trajs ~la ~lb ~pa ~pb ~da ~db =
     let reused =
       List.find_opt
         (fun ((pla, plb, ppa, ppb, pda, pdb), _) ->
@@ -376,34 +376,30 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
     | Some (_, out) ->
         tally.ref_c <- tally.ref_c + 1;
         out
-    | None -> (
-        match cache with
-        | Some cache ->
-            if la = lb then invalid_arg "Rendezvous.run: labels must be distinct";
-            let ta = Rv_sim.Traj_cache.get cache ~label:la ~start:pa in
-            let tb = Rv_sim.Traj_cache.get cache ~label:lb ~start:pb in
-            let max_rounds =
-              max (ta.Rv_sim.Traj.rounds + da) (tb.Rv_sim.Traj.rounds + db) + 1
-            in
-            let m =
-              match model_v with
-              | Rv_sim.Sim.Waiting ->
-                  tally.traj_c <- tally.traj_c + 1;
-                  Rv_sim.Traj.meet ~a:ta ~b:tb ~delay_a:da ~delay_b:db ~max_rounds
-              | Rv_sim.Sim.Parachute ->
-                  tally.intv_c <- tally.intv_c + 1;
-                  Rv_sim.Traj.meet_intervals ~a:ta ~b:tb ~delay_a:da ~delay_b:db
-                    ~max_rounds
-            in
-            (m.Rv_sim.Traj.meeting_round, m.Rv_sim.Traj.cost, m.Rv_sim.Traj.rounds_run)
-        | None ->
-            tally.ref_c <- tally.ref_c + 1;
-            let out =
-              R.run ?model ~g ~explorer ~algorithm ~space
-                { R.label = la; start = pa; delay = da }
-                { R.label = lb; start = pb; delay = db }
-            in
-            (out.Rv_sim.Sim.meeting_round, out.Rv_sim.Sim.cost, out.Rv_sim.Sim.rounds_run))
+    | None when use_fast ->
+        if la = lb then invalid_arg "Rendezvous.run: labels must be distinct";
+        let ta, tb = trajs () in
+        let max_rounds =
+          max (ta.Rv_sim.Traj.rounds + da) (tb.Rv_sim.Traj.rounds + db) + 1
+        in
+        let m =
+          match model_v with
+          | Rv_sim.Sim.Waiting ->
+              tally.traj_c <- tally.traj_c + 1;
+              Rv_sim.Traj.meet ~a:ta ~b:tb ~delay_a:da ~delay_b:db ~max_rounds
+          | Rv_sim.Sim.Parachute ->
+              tally.intv_c <- tally.intv_c + 1;
+              Rv_sim.Traj.meet_intervals ~a:ta ~b:tb ~delay_a:da ~delay_b:db ~max_rounds
+        in
+        (m.Rv_sim.Traj.meeting_round, m.Rv_sim.Traj.cost, m.Rv_sim.Traj.rounds_run)
+    | None ->
+        tally.ref_c <- tally.ref_c + 1;
+        let out =
+          R.run ?model ~g ~explorer ~algorithm ~space
+            { R.label = la; start = pa; delay = da }
+            { R.label = lb; start = pb; delay = db }
+        in
+        (out.Rv_sim.Sim.meeting_round, out.Rv_sim.Sim.cost, out.Rv_sim.Sim.rounds_run)
   in
   let obs = Rv_obs.Obs.enabled () in
   let pair_arr = Array.of_list pairs in
@@ -451,7 +447,9 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
               | Some t ->
                   worst_t := max !worst_t t;
                   worst_c := max !worst_c cost;
-                  Option.iter (fun p -> Progress.observe p ~time:t ~cost) progress
+                  (match progress with
+                  | Some p -> Progress.observe p ~time:t ~cost
+                  | None -> ())
               | None ->
                   failure :=
                     Some
@@ -486,6 +484,7 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
          records are buffered locally and emitted by the caller during
          the in-order merge — so the sink's byte stream is identical for
          any pool size. *)
+      let cache = Rv_sim.Traj_cache.create ~build:build_traj () in
       let run_pair (la, lb) =
         if obs then
           Rv_obs.Obs.begin_span ~cat:"workload"
@@ -494,7 +493,11 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
         let tally = { ref_c = 0; traj_c = 0; intv_c = 0 } in
         let r =
           replay ~la ~lb ~outcome_of:(fun ~pa ~pb ~d:_ ~da ~db ->
-              simulate tally ~la ~lb ~pa ~pb ~da ~db)
+              let trajs () =
+                ( Rv_sim.Traj_cache.get cache ~label:la ~start:pa,
+                  Rv_sim.Traj_cache.get cache ~label:lb ~start:pb )
+              in
+              simulate tally ~trajs ~la ~lb ~pa ~pb ~da ~db)
         in
         flush_tally tally;
         if obs then begin
@@ -506,7 +509,7 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
       merge
         (Engine_sweep.map_array ?pool ~chunk:1 (Array.length pair_arr) (fun i ->
              run_pair pair_arr.(i)))
-  | Some s ->
+  | Some (s, labels, walks) ->
       (* Orbit-reduced sweep: simulate only the canonical representatives
          (0, c) — 1/orbit of the pair space — then replay the full space
          through the representative table.  Representative cells are
@@ -515,7 +518,17 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
          invisible in the output, which stops at the failure exactly like
          the unreduced stream), and split into deterministic subtasks so
          the pool balances inside a pair (Sweep.map_nested: the subtask
-         space depends only on the cell counts, never on the pool). *)
+         space depends only on the cell counts, never on the pool).
+         Every walk comes from certification's table: [la] runs its
+         start-0 walk itself, and [lb]'s walk from [c] is the image of
+         its start-0 walk under the automorphism sending 0 to [c]. *)
+      let walk_of label =
+        let rec find i = if labels.(i) = label then walks.(i) else find (i + 1) in
+        find 0
+      in
+      let autos = Sym.automorphisms s in
+      let sending_zero_to = Array.make n 0 in
+      Array.iteri (fun i phi -> sending_zero_to.(phi.(0)) <- i) autos;
       let reps = n - 1 in
       let nd = Array.length delay_arr in
       let chunks_per_pair = min 8 reps in
@@ -531,11 +544,20 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
         let tally = { ref_c = 0; traj_c = 0; intv_c = 0 } in
         let lo = chunk_lo j and hi = chunk_lo (j + 1) in
         let out = Array.make ((hi - lo) * nd) (None, 0, 0) in
+        let walk_a = walk_of la and walk_b = walk_of lb in
+        (* One position buffer per task: each start's image is dead once
+           its delays are scanned. *)
+        let pos = Array.make (walk_b.Rv_sim.Traj.rounds + 1) 0 in
         for i = lo to hi - 1 do
           let pb = i + 1 in
+          (* Derived once for all delays, and only if a scan needs it. *)
+          let walk_pb =
+            lazy (Rv_sim.Traj.image ~pos ~phi:autos.(sending_zero_to.(pb)) walk_b)
+          in
+          let trajs () = (walk_a, Lazy.force walk_pb) in
           for d = 0 to nd - 1 do
             let da, db = delay_arr.(d) in
-            out.(((i - lo) * nd) + d) <- simulate tally ~la ~lb ~pa:0 ~pb ~da ~db
+            out.(((i - lo) * nd) + d) <- simulate tally ~trajs ~la ~lb ~pa:0 ~pb ~da ~db
           done
         done;
         flush_tally tally;
@@ -543,22 +565,21 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
         out
       in
       let chunked = Engine_sweep.map_nested ?pool ~chunk:1 counts run_chunk in
+      (* The replay of each pair is a pool task of its own: it reads only
+         its pair's table and buffers its records like [run_pair]. *)
       merge
-        (Array.mapi
-           (fun o per_chunk ->
+        (Engine_sweep.map_array ?pool ~chunk:1 (Array.length chunked) (fun o ->
              let la, lb = pair_arr.(o) in
-             let table = Array.concat (Array.to_list per_chunk) in
+             let table = Array.concat (Array.to_list chunked.(o)) in
              (* table.((c - 1) * nd + d) is the outcome of representative
-                (0, c) under delay d; canon_pair maps any (pa, pb) to its
-                representative in O(1). *)
+                (0, c) under delay d; canon_partner maps any (pa, pb) to
+                its representative's c in O(1). *)
              let r =
                replay ~la ~lb ~outcome_of:(fun ~pa ~pb ~d ~da:_ ~db:_ ->
-                   let _, c = Sym.canon_pair s pa pb in
-                   table.(((c - 1) * nd) + d))
+                   table.(((Sym.canon_partner s pa pb - 1) * nd) + d))
              in
              if obs then Rv_obs.Counter.count "workload.pairs" 1;
-             r)
-           chunked)
+             r))
 
 let ring_delays ~e =
   let ds = List.sort_uniq Int.compare [ 0; 1; e / 2; e; e + 1 ] in

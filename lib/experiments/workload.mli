@@ -36,12 +36,19 @@ module Stats : sig
             found, walk family failed certification), or ["order-<k>"]
             (reduction active) *)
     orbit_size : int;  (** coverage multiplier; 1 unless reduction ran *)
+    traj_built : int;
+        (** trajectories built by symmetry certification: one start-0
+            walk per label of each sweep that attempted it *)
+    images_certified : int;
+        (** (label, automorphism [<> id]) walks certified to be images of
+            their start-0 walk; a reduced sweep derives every other walk
+            from these instead of building it *)
   }
 
   val snapshot : unit -> snapshot
-  (** Process-wide counts since start or the last {!reset} (cell
-      counters accumulate across sweeps; the sym fields describe the
-      most recent {!worst_for} call). *)
+  (** Process-wide counts since start or the last {!reset} (cell and
+      trajectory counters accumulate across sweeps; [sym_group] and
+      [orbit_size] describe the most recent {!worst_for} call). *)
 
   val reset : unit -> unit
 end
@@ -68,9 +75,8 @@ val worst_for :
 
     {b Kernel dispatch.}  [dispatch] (default [`Auto]) selects between
     the reference simulator and the trajectory path, which materializes
-    each agent walk once per worker domain ({!Rv_sim.Traj},
-    {!Rv_sim.Traj_cache}) and turns every configuration into an array
-    scan under a delay offset — {!Rv_sim.Traj.meet} for the waiting
+    each agent walk as flat arrays ({!Rv_sim.Traj}) and turns every
+    configuration into an array scan under a delay offset — {!Rv_sim.Traj.meet} for the waiting
     model, {!Rv_sim.Traj.meet_intervals} for the parachute model.
     Outcomes — including the byte stream written to [sink] — are
     identical on every path; deep-trace runs ({!Rv_obs.Obs.deep}) always
@@ -81,30 +87,38 @@ val worst_for :
     [true] (the default; [rv sweep --no-sym] passes [false]), the sweep
     detects the graph's port-preserving automorphism group
     ({!Rv_graph.Symmetry}), certifies that every label's walk is
-    equivariant under it (port-sequence comparison per automorphism —
-    explorers that follow node identities rather than observations fail
-    here and fall back to the unreduced sweep), and then evaluates only
-    the canonical representative [(0, c)] of each position-pair orbit —
+    equivariant under it, and then evaluates only the canonical
+    representative [(0, c)] of each position-pair orbit —
     [1/orbit_size] of the space — replaying the full configuration
-    stream through the representative table.  The output — worst cell
-    and every sink byte — is identical to the unreduced sweep (CI
-    byte-compares against [--no-sym]); the only observable difference
-    is eagerness: a failing pair's representatives are all evaluated
-    even though the replayed stream stops at the failure.
+    stream through the representative table.  Certification builds each
+    label's start-0 walk once and checks, for every automorphism
+    [phi <> id], that the walk from [phi 0] takes the same port and
+    reaches [phi (pos0 r)] in every round ({!Rv_sim.Traj.is_image}) —
+    explorers that follow node identities rather than observations fail
+    here and fall back to the unreduced sweep.  Both steps run as
+    [pool] tasks.  The reduced sweep then builds nothing more: the walk
+    from [c] is the start-0 walk mapped through the automorphism sending
+    [0] to [c] ({!Rv_sim.Traj.image}), so it holds O(labels × rounds) of
+    trajectories.  The output — worst cell and every sink byte — is
+    identical to the unreduced sweep (CI byte-compares against
+    [--no-sym]); the only observable difference is eagerness: a failing
+    pair's representatives are all evaluated even though the replayed
+    stream stops at the failure.
     [`Fixed_first] is never reduced — under a free transitive action it
     is already an orbit transversal of the [(0, i)] pairs.
 
     [pool] parallelizes over label pairs (one task per pair; under
     reduction, deterministic per-pair subtasks via
-    {!Rv_engine.Sweep.map_nested}); results — including the byte stream
-    written to [sink] — are bit-for-bit identical to the sequential run
-    because outcomes are merged in pair order on the calling domain (see
-    {!Rv_engine.Sweep}).  [sink] receives one {!Rv_engine.Record.t} per
+    {!Rv_engine.Sweep.map_nested}); the unreduced trajectory path
+    memoizes walks per worker domain ({!Rv_sim.Traj_cache}).  Results —
+    including the byte stream written to [sink] — are bit-for-bit
+    identical to the sequential run because outcomes are merged in pair
+    order on the calling domain (see {!Rv_engine.Sweep}).  [sink] receives one {!Rv_engine.Record.t} per
     covered configuration, tagged with [graph_spec] (default:
     ["n=<nodes>"]).  [progress] counters: one {!Rv_engine.Progress.tick}
-    per pair, one [observe] per meeting.  Cell counts, cache traffic and
-    the symmetry outcome are reported through {!Stats} and
-    {!Rv_sim.Traj_cache.stats}. *)
+    per pair, one [observe] per meeting.  Cell counts, certification
+    counts and the symmetry outcome are reported through {!Stats}; the
+    unreduced path's cache traffic through {!Rv_sim.Traj_cache.stats}. *)
 
 val ring_delays : e:int -> (int * int) list
 (** The adversarial delay set used by the delay-tolerant experiments:

@@ -1,6 +1,9 @@
 let fixed_port ~name ~n port =
   if n < 3 then invalid_arg (name ^ ": need n >= 3");
-  Explorer.make ~name ~bound:(n - 1) ~fresh:(fun () _ -> Explorer.Move port)
+  (* Every round takes the same action: share one value instead of
+     allocating a [Move port] per step. *)
+  let move = Explorer.Move port in
+  Explorer.make ~name ~bound:(n - 1) ~fresh:(fun () _ -> move)
 
 let clockwise ~n = fixed_port ~name:"ring-clockwise" ~n 0
 

@@ -130,8 +130,8 @@ let group_name t =
 
 let automorphisms t = t.autos
 
-let canon_pair t a b =
-  let phi = t.autos.(t.to_zero.(a)) in
-  (0, phi.(b))
+let canon_partner t a b = t.autos.(t.to_zero.(a)).(b)
+
+let canon_pair t a b = (0, canon_partner t a b)
 
 let orbit_size t = t.order

@@ -91,6 +91,11 @@ val canon_pair : t -> int -> int -> int * int
     all-pairs enumeration order the representative is always visited
     before any other member of its orbit.  O(1): two array reads. *)
 
+val canon_partner : t -> int -> int -> int
+(** [canon_partner t a b] is the second coordinate of
+    [canon_pair t a b], without building the pair: the sweep's replay
+    calls it once per configuration. *)
+
 val orbit_size : t -> int
 (** Size of every position-pair orbit under a reducible group: exactly
     [order t] (free action).  The sweep multiplies coverage counts back

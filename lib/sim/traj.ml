@@ -10,11 +10,17 @@ type t = {
   moves : int array;
 }
 
+(* One preallocated [Some q] per port number of [g]: the entry port
+   handed to the stepper after every move comes from this table instead
+   of a fresh option per round. *)
+let entry_table g = Array.init (Pg.max_degree g) Option.some
+
 let of_schedule ~g ~start ~rounds step =
   if rounds < 0 then invalid_arg "Traj.of_schedule: negative rounds";
   let pos = Array.make (rounds + 1) start in
   let port = Array.make (rounds + 1) (-1) in
   let moves = Array.make (rounds + 1) 0 in
+  let entries = entry_table g in
   let entry = ref None in
   let first_move = ref (rounds + 1) in
   for r = 1 to rounds do
@@ -33,7 +39,7 @@ let of_schedule ~g ~start ~rounds step =
                "Traj.of_schedule: agent chose invalid port %d at node %d (degree %d)" p u
                obs.Ex.degree);
         let v, q = Pg.follow g u p in
-        entry := Some q;
+        entry := entries.(q);
         if !first_move > rounds then first_move := r;
         pos.(r) <- v;
         port.(r) <- p;
@@ -43,18 +49,25 @@ let of_schedule ~g ~start ~rounds step =
 
 type block = Still of int | Run of Ex.instance * int
 
+let block_rounds blocks =
+  List.fold_left
+    (fun acc b ->
+      let k = match b with Still k -> k | Run (_, k) -> k in
+      if k < 0 then invalid_arg "Traj.of_blocks: negative block length";
+      acc + k)
+    0 blocks
+
+let invalid_port p u degree =
+  invalid_arg
+    (Printf.sprintf "Traj.of_blocks: agent chose invalid port %d at node %d (degree %d)" p u
+       degree)
+
 let of_blocks ~g ~start blocks =
-  let rounds =
-    List.fold_left
-      (fun acc b ->
-        let k = match b with Still k -> k | Run (_, k) -> k in
-        if k < 0 then invalid_arg "Traj.of_blocks: negative block length";
-        acc + k)
-      0 blocks
-  in
+  let rounds = block_rounds blocks in
   let pos = Array.make (rounds + 1) start in
   let port = Array.make (rounds + 1) (-1) in
   let moves = Array.make (rounds + 1) 0 in
+  let entries = entry_table g in
   let entry = ref None in
   let first_move = ref (rounds + 1) in
   let r = ref 0 in
@@ -82,13 +95,9 @@ let of_blocks ~g ~start blocks =
                 pos.(!r) <- u;
                 moves.(!r) <- moves.(!r - 1)
             | Ex.Move p ->
-                if p < 0 || p >= obs.Ex.degree then
-                  invalid_arg
-                    (Printf.sprintf
-                       "Traj.of_blocks: agent chose invalid port %d at node %d (degree %d)"
-                       p u obs.Ex.degree);
+                if p < 0 || p >= obs.Ex.degree then invalid_port p u obs.Ex.degree;
                 let v, q = Pg.follow g u p in
-                entry := Some q;
+                entry := entries.(q);
                 if !first_move > rounds then first_move := !r;
                 pos.(!r) <- v;
                 port.(!r) <- p;
@@ -96,6 +105,67 @@ let of_blocks ~g ~start blocks =
           done)
     blocks;
   { start; rounds; first_move = !first_move; pos; port; moves }
+
+(* Before [first_move] the walk is still on its start, so only the
+   rounds from there on need mapping. *)
+let image ~pos ~phi t =
+  if Array.length pos <> t.rounds + 1 then invalid_arg "Traj.image: pos length";
+  let src = t.pos and start = phi.(t.start) in
+  Array.fill pos 0 (min t.first_move (t.rounds + 1)) start;
+  for r = t.first_move to t.rounds do
+    pos.(r) <- phi.(Array.unsafe_get src r)
+  done;
+  { t with start; pos }
+
+(* Steps [blocks] from [phi.(t0.start)] exactly like [of_blocks], but
+   instead of recording the walk compares every round with [t0] on the
+   fly: the port taken (-1 for a wait) must equal [t0.port.(r)] and the
+   node reached must be [phi.(t0.pos.(r))].  Nothing per-walk is
+   allocated, and the first differing round ends the walk.  Inside a
+   [Still] block the agent stays on [u = phi.(t0.pos.(r0))], so, [phi]
+   being a bijection, the check reduces to [t0] waiting on
+   [t0.pos.(r0)] — two constant scans. *)
+let is_image ~g ~phi t0 blocks =
+  let rounds = block_rounds blocks in
+  rounds = t0.rounds
+  &&
+  let pos0 = t0.pos and port0 = t0.port in
+  let entries = entry_table g in
+  let entry = ref None in
+  let first_move = ref (rounds + 1) in
+  let u = ref phi.(t0.start) in
+  let r = ref 0 and ok = ref true in
+  let rec go = function
+    | [] -> ()
+    | Still k :: rest ->
+        let w = pos0.(!r) and last = !r + k in
+        while !ok && !r < last do
+          incr r;
+          if port0.(!r) <> -1 || pos0.(!r) <> w then ok := false
+        done;
+        if k > 0 then entry := None;
+        if !ok then go rest
+    | Run (step, k) :: rest ->
+        let last = !r + k in
+        while !ok && !r < last do
+          incr r;
+          let obs = { Ex.degree = Pg.degree g !u; entry = !entry } in
+          match step obs with
+          | Ex.Wait ->
+              entry := None;
+              if port0.(!r) <> -1 || phi.(pos0.(!r)) <> !u then ok := false
+          | Ex.Move p ->
+              if p < 0 || p >= obs.Ex.degree then invalid_port p !u obs.Ex.degree;
+              let v, q = Pg.follow g !u p in
+              entry := entries.(q);
+              if !first_move > rounds then first_move := !r;
+              u := v;
+              if port0.(!r) <> p || phi.(pos0.(!r)) <> v then ok := false
+        done;
+        if !ok then go rest
+  in
+  go blocks;
+  !ok && !first_move = t0.first_move
 
 let clamp t r = if r < 0 then 0 else if r > t.rounds then t.rounds else r
 

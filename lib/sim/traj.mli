@@ -71,6 +71,29 @@ val of_blocks : g:Rv_graph.Port_graph.t -> start:int -> block list -> t
     instance exactly like {!of_schedule}.  This is what the sweep fast
     path feeds {!Rv_core.Schedule.t} steps into. *)
 
+val image : pos:int array -> phi:int array -> t -> t
+(** [image ~pos ~phi t] is [t] carried along the node map [phi]: it
+    starts at [phi.(t.start)] and is at [phi.(t.pos.(r))] after round
+    [r], with the same [rounds] and [first_move].  The positions are
+    written into [pos] (length [t.rounds + 1], else [Invalid_argument]),
+    which becomes the result's position array, so one buffer serves a
+    sequence of images and each is valid until [pos] is written again.
+    The [port] and [moves] arrays are shared with [t], not copied.  When
+    [phi] is a port-preserving automorphism and {!is_image} certified
+    the walk from [phi.(t.start)], this equals {!of_blocks} from that
+    start. *)
+
+val is_image : g:Rv_graph.Port_graph.t -> phi:int array -> t -> block list -> bool
+(** [is_image ~g ~phi t0 blocks] steps [blocks] from [phi.(t0.start)]
+    as {!of_blocks} would and checks each round against [t0]: the same
+    port (a wait included) and the node [phi.(t0.pos.(r))].  It also
+    requires the same [rounds] and [first_move].  So it holds exactly
+    when [of_blocks ~g ~start:phi.(t0.start) blocks] equals
+    [image ~pos ~phi t0], but it allocates no per-walk array and stops at
+    the first round that differs.  Raises [Invalid_argument] like
+    {!of_blocks} on a negative block length or an invalid port reached
+    before that round. *)
+
 val pos_at : t -> int -> int
 (** [pos_at t r] is the node after [r] of the agent's own rounds,
     clamped into [0..t.rounds] (before round 1 the agent is at [start];

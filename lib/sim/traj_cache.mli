@@ -1,5 +1,10 @@
 (** Per-domain memoization of {!Traj.t} for adversarial sweeps.
 
+    It serves the sweeps that build a walk per (label, start): unreduced
+    and [`Fixed_first] sweeps.  A symmetry-reduced sweep does not use it
+    — it builds each label's start-0 walk once, during certification,
+    and derives the walk from any other start with {!Traj.image}.
+
     A sweep over label pairs × starts × delays needs each trajectory —
     a pure function of (algorithm, label, start) once the graph and
     explorer family are fixed — many times: for every partner label,

@@ -146,13 +146,18 @@ let reduced_families () =
       fun ~start -> Rv_explore.Map_dfs.returning k ~start );
   ]
 
-let run_sweep ~sym ~g ~explorer ~algorithm ~space ~pairs ~delays =
+let run_sweep ?pool ~sym ~g ~explorer ~algorithm ~space ~pairs ~delays () =
   let sink = Rv_engine.Sink.memory () in
   let result =
-    W.worst_for ~sym ~g ~algorithm ~space ~explorer ~pairs
+    W.worst_for ?pool ~sym ~g ~algorithm ~space ~explorer ~pairs
       ~positions:`All_pairs ~delays ~sink ()
   in
   (result, Rv_engine.Sink.records sink)
+
+let check_same id (rr, recr) (ru, recu) =
+  Alcotest.(check bool) (id ^ " same worst") true (rr = ru);
+  Alcotest.(check int) (id ^ " same record count") (List.length recu) (List.length recr);
+  List.iter2 (fun a b -> Alcotest.(check bool) (id ^ " record equal") true (a = b)) recr recu
 
 let test_reduced_matches_unreduced () =
   let rng = Rng.create ~seed:0x53b1 in
@@ -172,21 +177,14 @@ let test_reduced_matches_unreduced () =
             let pairs = W.sample_pairs ~space ~max_pairs:3 in
             let id = Printf.sprintf "%s %s draw%d" fam (R.name algorithm) draw in
             W.Stats.reset ();
-            let rr, recr =
-              run_sweep ~sym:true ~g ~explorer ~algorithm ~space ~pairs ~delays
+            let reduced =
+              run_sweep ~sym:true ~g ~explorer ~algorithm ~space ~pairs ~delays ()
             in
             let reduced_stats = W.Stats.snapshot () in
-            let ru, recu =
-              run_sweep ~sym:false ~g ~explorer ~algorithm ~space ~pairs ~delays
+            let unreduced =
+              run_sweep ~sym:false ~g ~explorer ~algorithm ~space ~pairs ~delays ()
             in
-            Alcotest.(check bool) (id ^ " same worst") true (rr = ru);
-            Alcotest.(check int)
-              (id ^ " same record count")
-              (List.length recu) (List.length recr);
-            List.iter2
-              (fun a b ->
-                Alcotest.(check bool) (id ^ " record equal") true (a = b))
-              recr recu;
+            check_same id reduced unreduced;
             (* And the reduction actually engaged: fewer cells simulated
                than covered, by exactly the group order. *)
             Alcotest.(check bool)
@@ -218,6 +216,95 @@ let test_unreducible_families_report_none () =
       ("tree (path:6)", Rv_graph.Tree.path 6);
       ("random:8:4", Rv_graph.Random_graph.connected (Rng.create ~seed:3) ~n:8 ~extra_edges:4);
     ]
+
+(* Certification and the representative cells run as pool tasks; a
+   two-domain reduced sweep must equal the sequential one and the
+   unreduced one, record for record. *)
+let test_reduced_on_pool () =
+  List.iter
+    (fun (fam, g, explorer) ->
+      List.iter
+        (fun algorithm ->
+          let space = 16 in
+          let e = (explorer ~start:0).Rv_explore.Explorer.bound in
+          let delays = [ (0, 0); (0, e); (e + 1, 0) ] in
+          let pairs = W.sample_pairs ~space ~max_pairs:3 in
+          let id = Printf.sprintf "%s %s" fam (R.name algorithm) in
+          let sweep ?pool sym =
+            run_sweep ?pool ~sym ~g ~explorer ~algorithm ~space ~pairs ~delays ()
+          in
+          W.Stats.reset ();
+          let pooled = Rv_engine.Pool.with_pool ~jobs:2 (fun pool -> sweep ~pool true) in
+          let s = W.Stats.snapshot () in
+          Alcotest.(check bool) (id ^ " reduced on the pool") true (s.W.Stats.orbit_size > 1);
+          let labels =
+            List.sort_uniq Int.compare (List.concat_map (fun (a, b) -> [ a; b ]) pairs)
+          in
+          Alcotest.(check int)
+            (id ^ " one walk built per label") (List.length labels) s.W.Stats.traj_built;
+          check_same (id ^ " pool vs sequential") pooled (sweep true);
+          check_same (id ^ " pool vs unreduced") pooled (sweep false))
+        [ R.Cheap; R.Fast ])
+    (List.filter (fun (fam, _, _) -> fam = "ring:8" || fam = "torus:3x4") (reduced_families ()))
+
+(* The torus' default explorer follows a global Hamiltonian cycle, so
+   its walks are not images of each other: certification must refuse
+   the order-12 group and the sweep must run unreduced. *)
+let test_ham_torus_falls_back () =
+  let ok = function Ok v -> v | Error e -> Alcotest.fail e in
+  let gs = ok (Rv_experiments.Spec.parse_graph "torus:3x4") in
+  let explorer = ok (Rv_experiments.Spec.parse_explorer gs "auto") in
+  let g = gs.Rv_experiments.Spec.g in
+  let pairs = W.sample_pairs ~space:8 ~max_pairs:3 in
+  let delays = [ (0, 0); (0, 1) ] in
+  W.Stats.reset ();
+  let sweep sym = run_sweep ~sym ~g ~explorer ~algorithm:R.Fast ~space:8 ~pairs ~delays () in
+  let reduced = sweep true in
+  let s = W.Stats.snapshot () in
+  Alcotest.(check string) "uncertified" "order-12/uncertified" s.W.Stats.sym_group;
+  Alcotest.(check int) "x1 coverage" 1 s.W.Stats.orbit_size;
+  check_same "ham torus" reduced (sweep false)
+
+(* A planted family on the oriented ring: clockwise from every start
+   except [bad], whose walk waits instead of moving in the last round
+   of its last exploration — one automorphism image, one round, the
+   walk's last active one.  Certification must catch it and fall back,
+   and the fallback must equal the unreduced sweep. *)
+let test_planted_break_falls_back () =
+  let n = 8 and space = 4 and bad = 5 in
+  let g = Rv_graph.Ring.oriented n in
+  let pairs = [ (1, 2); (2, 3) ] in
+  let clockwise = Rv_explore.Ring_walk.clockwise ~n in
+  let executions label =
+    Rv_core.Schedule.explorations (R.schedule R.Fast ~space ~label ~explorer:clockwise)
+  in
+  let last = List.fold_left (fun acc l -> max acc (executions l)) 0 [ 1; 2; 3 ] in
+  let explorer ~start =
+    if start <> bad then clockwise
+    else begin
+      (* Executions are counted per explorer value, and each walk is
+         scheduled from a fresh one. *)
+      let count = ref 0 in
+      Rv_explore.Explorer.make ~name:"planted" ~bound:(n - 1) ~fresh:(fun () ->
+          incr count;
+          let k = !count and step = ref 0 in
+          fun _ ->
+            incr step;
+            if k = last && !step = n - 1 then Rv_explore.Explorer.Wait
+            else Rv_explore.Explorer.Move 0)
+    end
+  in
+  let sweep sym =
+    run_sweep ~sym ~g ~explorer ~algorithm:R.Fast ~space ~pairs ~delays:[ (0, 0); (0, 1) ] ()
+  in
+  W.Stats.reset ();
+  let reduced = sweep true in
+  let s = W.Stats.snapshot () in
+  Alcotest.(check string) "uncertified" "order-8/uncertified" s.W.Stats.sym_group;
+  let broken = List.length (List.filter (fun l -> executions l = last) [ 1; 2; 3 ]) in
+  Alcotest.(check int)
+    "every other image certified" ((3 * (n - 1)) - broken) s.W.Stats.images_certified;
+  check_same "planted" reduced (sweep false)
 
 (* ------------------------------------------------- dispatch model *)
 
@@ -268,6 +355,9 @@ let () =
             test_reduced_matches_unreduced;
           tc "unreducible families fall back and report none"
             test_unreducible_families_report_none;
+          tc "pool == sequential == unreduced (ring, euler torus)" test_reduced_on_pool;
+          tc "ham torus is uncertified and equals unreduced" test_ham_torus_falls_back;
+          tc "a break at one image's last round falls back" test_planted_break_falls_back;
         ] );
       ("dispatch", [ tc "cost model decisions" test_dispatch_decide ]);
     ]

@@ -33,16 +33,93 @@ let families () =
     ("torus:3x4", torus, fun ~start -> Rv_explore.Euler_walk.closed torus ~start);
   ]
 
+let blocks_of ~algorithm ~space ~explorer ~label ~start =
+  List.map
+    (function
+      | Sched.Pause k -> Traj.Still k
+      | Sched.Explore e -> Traj.Run (e.Ex.fresh (), e.Ex.bound))
+    (R.schedule algorithm ~space ~label ~explorer:(explorer ~start))
+
 let traj_of ~g ~algorithm ~space ~explorer ~label ~start =
-  let sched = R.schedule algorithm ~space ~label ~explorer:(explorer ~start) in
-  Traj.of_blocks ~g ~start
-    (List.map
-       (function
-         | Sched.Pause k -> Traj.Still k
-         | Sched.Explore e -> Traj.Run (e.Ex.fresh (), e.Ex.bound))
-       sched)
+  Traj.of_blocks ~g ~start (blocks_of ~algorithm ~space ~explorer ~label ~start)
 
 (* ------------------------------------------------- constructor agreement *)
+
+(* The symmetry-reduced sweep never builds a walk from a start c <> 0:
+   it maps the start-0 walk through the automorphism sending 0 to c.
+   On the oriented ring those are the rotations, and the derived image
+   must be the very walk of_blocks builds from c, field for field. *)
+let test_image_matches_of_blocks () =
+  let n = 12 and space = 16 in
+  let g = Rv_graph.Ring.oriented n in
+  let explorer ~start =
+    ignore start;
+    Rv_explore.Ring_walk.clockwise ~n
+  in
+  List.iter
+    (fun algorithm ->
+      List.iter
+        (fun label ->
+          let t0 = traj_of ~g ~algorithm ~space ~explorer ~label ~start:0 in
+          for c = 0 to n - 1 do
+            let phi = Array.init n (fun v -> (v + c) mod n) in
+            let built = traj_of ~g ~algorithm ~space ~explorer ~label ~start:c in
+            let img = Traj.image ~pos:(Array.make (t0.Traj.rounds + 1) (-1)) ~phi t0 in
+            let id = Printf.sprintf "%s l=%d c=%d" (R.name algorithm) label c in
+            Alcotest.(check int) (id ^ " start") built.Traj.start img.Traj.start;
+            Alcotest.(check int) (id ^ " rounds") built.Traj.rounds img.Traj.rounds;
+            Alcotest.(check int)
+              (id ^ " first_move") built.Traj.first_move img.Traj.first_move;
+            Alcotest.(check (array int)) (id ^ " pos") built.Traj.pos img.Traj.pos;
+            Alcotest.(check (array int)) (id ^ " port") built.Traj.port img.Traj.port;
+            Alcotest.(check (array int)) (id ^ " moves") built.Traj.moves img.Traj.moves;
+            Alcotest.(check bool)
+              (id ^ " certified") true
+              (Traj.is_image ~g ~phi t0
+                 (blocks_of ~algorithm ~space ~explorer ~label ~start:c))
+          done)
+        [ 1; 2; 5; 16 ])
+    [ R.Cheap; R.Fast; R.Fwr 2 ]
+
+(* is_image is stricter than port equality and stops at the first
+   differing round. *)
+let test_is_image_refutes () =
+  let n = 8 in
+  let g = Rv_graph.Ring.oriented n in
+  let clockwise _ = Ex.Move 0 in
+  let t0 = Traj.of_blocks ~g ~start:0 [ Traj.Still 2; Traj.Run (clockwise, 5) ] in
+  let rotation c = Array.init n (fun v -> (v + c) mod n) in
+  Alcotest.(check bool)
+    "rotation certified" true
+    (Traj.is_image ~g ~phi:(rotation 3) t0 [ Traj.Still 2; Traj.Run (clockwise, 5) ]);
+  (* The reflection fixes node 0, and the walk from 0 takes exactly
+     t0's ports, but it is not at phi (pos0 r): a port-only check would
+     accept this map. *)
+  let reflection = Array.init n (fun v -> (n - v) mod n) in
+  Alcotest.(check bool)
+    "same ports, wrong positions" false
+    (Traj.is_image ~g ~phi:reflection t0 [ Traj.Still 2; Traj.Run (clockwise, 5) ]);
+  Alcotest.(check bool)
+    "a wait where t0 moves" false
+    (Traj.is_image ~g ~phi:(rotation 1) t0 [ Traj.Still 3; Traj.Run (clockwise, 4) ]);
+  Alcotest.(check bool)
+    "different length" false
+    (Traj.is_image ~g ~phi:(rotation 1) t0 [ Traj.Still 2; Traj.Run (clockwise, 6) ]);
+  let steps = ref 0 in
+  let diverging _ =
+    incr steps;
+    if !steps = 1 then Ex.Move 1 else failwith "stepped past the first difference"
+  in
+  Alcotest.(check bool)
+    "first difference ends the walk" false
+    (Traj.is_image ~g ~phi:(rotation 0) t0 [ Traj.Still 2; Traj.Run (diverging, 5) ]);
+  Alcotest.(check int) "one step taken" 1 !steps;
+  Alcotest.check_raises "invalid port"
+    (Invalid_argument "Traj.of_blocks: agent chose invalid port 2 at node 0 (degree 2)")
+    (fun () ->
+      ignore
+        (Traj.is_image ~g ~phi:(rotation 0) t0
+           [ Traj.Still 2; Traj.Run ((fun _ -> Ex.Move 2), 5) ]))
 
 let test_of_blocks_matches_of_schedule () =
   List.iter
@@ -399,6 +476,8 @@ let () =
             test_meet_intervals_matches_sim_run;
           tc "crossing at the delay boundary" test_crossing_at_delay_boundary;
           tc "meeting at the wake boundary" test_meeting_at_wake_boundary;
+          tc "image == of_blocks for every ring rotation" test_image_matches_of_blocks;
+          tc "is_image refutes non-images and stops early" test_is_image_refutes;
         ] );
       ( "cache",
         [
